@@ -9,7 +9,7 @@
 //! pair is compared against the served model's prediction, and when the
 //! windowed mean relative error crosses the configured threshold the
 //! server reports *drift* — the signal the lifecycle loop turns into a
-//! full retrain plus cache/lane invalidation.
+//! full retrain plus cache invalidation.
 //!
 //! Residuals are relative (`|pred - obs| / max(|obs|, ε)`) so one scale
 //! works for latency in seconds and cost in cores alike; non-finite

@@ -25,7 +25,6 @@
 
 #![warn(missing_docs)]
 
-pub mod coalescer;
 pub mod dataset;
 pub mod drift;
 pub mod features;
@@ -38,7 +37,6 @@ pub mod server;
 pub mod simd;
 pub mod transform;
 
-pub use coalescer::{CoalescerOptions, InferenceCoalescer, SolverGuard};
 pub use dataset::Dataset;
 pub use drift::{DriftOptions, DriftVerdict, DriftWindow};
 pub use gp::{Gp, GpConfig};

@@ -1,7 +1,7 @@
 //! The opt-in f32 inference ladder.
 //!
 //! The default serving path is f64 end to end and keeps the strict
-//! bitwise batched-vs-scalar property the coalescer's determinism builds
+//! bitwise batched-vs-scalar property MOGD's lockstep batching relies
 //! on. For throughput-bound deployments, [`Precision`] offers two lower
 //! rungs, both served through the [`FastPath`] wrapper:
 //!
@@ -17,7 +17,7 @@
 //! Uncertainty (`predict_std*`) and both gradients always stay on the f64
 //! path — MOGD's descent and the `E[F] + α·std[F]` handling are far more
 //! sensitive to gradient noise than to mean rounding, and the f32 win is
-//! in the high-volume mean batches the coalescer dispatches.
+//! in the high-volume lockstep mean batches MOGD dispatches.
 //!
 //! The wrapper sits *innermost* in the serving stack —
 //! `Metered(LogSpace(FastPath(model)))` — so log-space entries exponentiate
@@ -48,16 +48,6 @@ impl Precision {
     /// Whether this is the default full-precision path (no wrapper).
     pub fn is_f64(self) -> bool {
         matches!(self, Precision::F64)
-    }
-
-    /// Small stable discriminant for cache/lane keys: f32 and f64 serving
-    /// paths must never share a coalescer lane or memo entry.
-    pub fn tag(self) -> u8 {
-        match self {
-            Precision::F64 => 0,
-            Precision::F32 => 1,
-            Precision::F32Verified { .. } => 2,
-        }
     }
 }
 
@@ -241,16 +231,6 @@ mod tests {
     fn precision_tags_are_distinct() {
         assert!(Precision::F64.is_f64());
         assert!(!Precision::F32.is_f64());
-        let tags = [
-            Precision::F64.tag(),
-            Precision::F32.tag(),
-            Precision::F32Verified { rel_tol: 1e-3 }.tag(),
-        ];
-        assert_eq!(tags.len(), {
-            let mut t = tags.to_vec();
-            t.sort_unstable();
-            t.dedup();
-            t.len()
-        });
+        assert!(!Precision::F32Verified { rel_tol: 1e-3 }.is_f64());
     }
 }

@@ -36,7 +36,7 @@
 //! per key (see [`crate::drift`]). A full window whose mean relative error
 //! exceeds the threshold reports `drifted = true` — the lifecycle loop
 //! answers with [`ModelServer::retrain_now`] and invalidation fan-out
-//! (coalescer lanes, memo-cache generation).
+//! (memo-cache generation, frontier-cache entries).
 
 use crate::dataset::Dataset;
 use crate::drift::{DriftOptions, DriftVerdict, DriftWindow};
@@ -90,7 +90,7 @@ impl Default for ModelKind {
 /// A pinned model version: the snapshot one solve holds for its entire
 /// duration. The `Arc` keeps the weights alive past any number of swaps;
 /// `version` is the registry epoch the snapshot was published under, and is
-/// what `SolveReport.model_versions` and the coalescer lane keys carry.
+/// what `SolveReport.model_versions` and the MOGD memo generation carry.
 #[derive(Clone)]
 pub struct ModelLease {
     /// The pinned model snapshot.
@@ -772,15 +772,19 @@ mod tests {
 
     #[test]
     fn swap_counters_track_replacements_only() {
-        let reg = udao_telemetry::global();
-        let swaps_before = reg.counter(names::MODEL_SWAPS).get();
+        // A private scope: other tests swap models in parallel, so the
+        // global counter can move under this one. `ingest` publishes on
+        // the calling thread, so the scope sees exactly its increments.
+        let scope = Arc::new(udao_telemetry::MetricsRegistry::new());
+        let _guard = udao_telemetry::enter_scope(Arc::clone(&scope));
+        let swaps = || scope.snapshot().counter(names::MODEL_SWAPS);
         let server = ModelServer::new();
         let key = ModelKey::new("q4", "latency");
         server.register(key.clone(), ModelKind::Gp(GpConfig::default()));
         server.ingest(&key, &line_data(15, 3.0)); // initial publish: not a swap
-        assert_eq!(reg.counter(names::MODEL_SWAPS).get(), swaps_before);
+        assert_eq!(swaps(), 0);
         server.ingest(&key, &line_data(250, 2.0)); // replacement: a swap
-        assert_eq!(reg.counter(names::MODEL_SWAPS).get(), swaps_before + 1);
+        assert_eq!(swaps(), 1);
     }
 
     #[test]

@@ -30,8 +30,8 @@ proptest! {
     /// Contract 1: batch composition independence, bitwise. Each (point,
     /// output) cell must be one serial fold over the input dimension in a
     /// fixed order, whatever tile or remainder path computes it — this is
-    /// what makes coalesced cross-request batches return exactly the bits
-    /// a solo request would have seen.
+    /// what makes MOGD's lockstep multistart batches return exactly the
+    /// bits per-point calls would have seen.
     #[test]
     fn blocked_gemm_is_bitwise_equal_to_per_point_forward(
         n in 1usize..=MAX_N,

@@ -31,8 +31,7 @@
 //! 1. keys embed pinned versions, so swapped entries go unreachable
 //!    immediately (correctness);
 //! 2. the lifecycle loop calls [`FrontierCache::invalidate_model`] on
-//!    every publish, dropping the retired entries eagerly (reclamation,
-//!    same fan-out as coalescer lane pruning);
+//!    every publish, dropping the retired entries eagerly (reclamation);
 //! 3. idle serving workers call [`FrontierCache::prune_stale`]
 //!    periodically, reclaiming entries whose pinned versions no longer
 //!    match the registry even when no lifecycle manager runs.
@@ -300,8 +299,8 @@ impl FrontierCache {
     }
 
     /// Drop every entry whose key pins a version of `(workload_id,
-    /// objective)` — the lifecycle fan-out called on each model publish,
-    /// alongside coalescer lane pruning. Returns the number of entries
+    /// objective)` — the lifecycle fan-out called on each model publish.
+    /// Returns the number of entries
     /// dropped and counts each as `cache.invalidations`.
     pub fn invalidate_model(&self, workload_id: &str, objective: &str) -> usize {
         self.invalidate_where(|key| {

@@ -22,10 +22,10 @@
 //!    the lifecycle thread — never under the registry lock, never on a
 //!    serving worker.
 //! 4. **Invalidate** — every publish is an atomic hot-swap (in-flight
-//!    solves keep their pinned leases); the lifecycle loop then prunes
-//!    idle coalescer lanes so stale-epoch lanes don't accumulate, and the
-//!    new versions change the problem generation stamp, which invalidates
-//!    the MOGD memo cache on the next solve.
+//!    solves keep their pinned leases); the lifecycle loop then drops the
+//!    cached frontiers that pinned the republished model, and the new
+//!    versions change the problem generation stamp, which invalidates the
+//!    MOGD memo cache on the next solve.
 //!
 //! [`LifecycleManager::flush`] is a rendezvous: it returns after every
 //! observation enqueued before it has been fully processed — what the
@@ -42,7 +42,6 @@ use udao_core::{Error, Result};
 use udao_model::dataset::Dataset;
 use udao_model::drift::DriftOptions;
 use udao_model::server::{ModelKey, ModelServer};
-use udao_model::InferenceCoalescer;
 use udao_telemetry::names;
 
 /// Policy for a [`LifecycleManager`].
@@ -114,12 +113,11 @@ pub struct LifecycleManager {
 }
 
 impl LifecycleManager {
-    /// Start the lifecycle loop for `server`, pruning `coalescer` lanes
-    /// and invalidating the affected `frontier_cache` entries on every
-    /// publish. Installs `options.drift` as the server's drift policy.
+    /// Start the lifecycle loop for `server`, invalidating the affected
+    /// `frontier_cache` entries on every publish. Installs
+    /// `options.drift` as the server's drift policy.
     pub fn start(
         server: Arc<ModelServer>,
-        coalescer: Arc<InferenceCoalescer>,
         frontier_cache: Option<Arc<FrontierCache>>,
         options: LifecycleOptions,
     ) -> Result<Self> {
@@ -131,7 +129,7 @@ impl LifecycleManager {
         let worker = std::thread::Builder::new()
             .name("udao-lifecycle".into())
             .spawn(move || {
-                run_loop(&rx, &server, &coalescer, frontier_cache.as_deref(), options, &worker_shared)
+                run_loop(&rx, &server, frontier_cache.as_deref(), options, &worker_shared)
             })
             .map_err(|e| Error::InvalidConfig(format!("cannot spawn lifecycle thread: {e}")))?;
         Ok(Self { tx, worker: Some(worker), shared })
@@ -202,17 +200,15 @@ impl KeyBuffer {
 fn run_loop(
     rx: &Receiver<Msg>,
     server: &Arc<ModelServer>,
-    coalescer: &Arc<InferenceCoalescer>,
     frontier_cache: Option<&FrontierCache>,
     options: LifecycleOptions,
     shared: &Arc<Shared>,
 ) {
     // Publish fan-out: the new version changes the problem generation
-    // stamp (MOGD memo cache), idle coalescer lanes keyed to retired
-    // epochs are pruned, and cached frontiers pinning the republished
-    // model are dropped — one invalidation protocol, three caches.
+    // stamp (MOGD memo cache), and cached frontiers pinning the
+    // republished model are dropped — one invalidation protocol, two
+    // caches.
     let invalidate = |key: &ModelKey| {
-        coalescer.prune_idle_lanes();
         if let Some(cache) = frontier_cache {
             cache.invalidate_model(&key.workload, &key.objective);
         }
@@ -254,7 +250,7 @@ fn run_loop(
 
 impl Udao {
     /// Start the online model lifecycle loop for this optimizer: drift
-    /// detection over its model server and coalescer-lane invalidation on
+    /// detection over its model server and frontier-cache invalidation on
     /// every publish. Feed it observed outcomes
     /// ([`LifecycleManager::observe`]) as recommended configurations
     /// execute; retrains and hot-swaps happen on the manager's thread
@@ -262,7 +258,6 @@ impl Udao {
     pub fn start_lifecycle(&self, options: LifecycleOptions) -> Result<LifecycleManager> {
         LifecycleManager::start(
             self.shared_model_server(),
-            Arc::clone(self.coalescer()),
             self.frontier_cache().cloned(),
             options,
         )
@@ -303,10 +298,8 @@ mod tests {
     fn accurate_observations_never_retrain() {
         let key = ModelKey::new("q2", "latency");
         let server = trained_server(&key);
-        let coalescer = InferenceCoalescer::new(Default::default());
         let mgr = LifecycleManager::start(
             Arc::clone(&server),
-            coalescer,
             None,
             LifecycleOptions {
                 retrain_batch: 1000,
@@ -331,10 +324,8 @@ mod tests {
     fn drift_triggers_forced_retrain_and_swap() {
         let key = ModelKey::new("q2", "latency");
         let server = trained_server(&key);
-        let coalescer = InferenceCoalescer::new(Default::default());
         let mgr = LifecycleManager::start(
             Arc::clone(&server),
-            coalescer,
             None,
             LifecycleOptions {
                 retrain_batch: 1000,
@@ -360,10 +351,8 @@ mod tests {
     fn batch_threshold_triggers_routine_ingest() {
         let key = ModelKey::new("q2", "latency");
         let server = trained_server(&key);
-        let coalescer = InferenceCoalescer::new(Default::default());
         let mgr = LifecycleManager::start(
             Arc::clone(&server),
-            coalescer,
             None,
             LifecycleOptions {
                 retrain_batch: 10,
@@ -390,10 +379,8 @@ mod tests {
         // queue tiny and pre-fill it faster than the worker can possibly
         // drain by holding... simpler: queue_depth 1 and a flood.
         let server = Arc::new(ModelServer::new());
-        let coalescer = InferenceCoalescer::new(Default::default());
         let mgr = LifecycleManager::start(
             server,
-            coalescer,
             None,
             LifecycleOptions { queue_depth: 1, ..Default::default() },
         )
@@ -419,10 +406,7 @@ mod tests {
     #[test]
     fn drop_joins_the_worker() {
         let server = Arc::new(ModelServer::new());
-        let coalescer = InferenceCoalescer::new(Default::default());
-        let mgr =
-            LifecycleManager::start(server, coalescer, None, LifecycleOptions::default())
-                .expect("ok");
+        let mgr = LifecycleManager::start(server, None, LifecycleOptions::default()).expect("ok");
         drop(mgr); // must not hang
     }
 }

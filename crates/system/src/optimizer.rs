@@ -33,7 +33,7 @@ use udao_core::space::Configuration;
 use udao_core::{Error, MooProblem, Result};
 use udao_model::dataset::Dataset;
 use udao_model::server::{ModelKey, ModelKind, ModelLease, ModelServer};
-use udao_model::{CoalescerOptions, GpConfig, InferenceCoalescer, MlpConfig, Precision};
+use udao_model::{GpConfig, MlpConfig, Precision};
 use udao_sparksim::objectives::{BatchObjective, StreamObjective};
 use udao_sparksim::trace::{
     batch_training_data, collect_batch_traces, collect_stream_traces, stream_training_data,
@@ -180,7 +180,6 @@ pub struct UdaoBuilder {
     pf_variant: PfVariant,
     seed: u64,
     serving: ServingOptions,
-    coalescer: CoalescerOptions,
     frontier_cache: Option<usize>,
     precision: Precision,
 }
@@ -220,13 +219,6 @@ impl UdaoBuilder {
     /// started from the built optimizer.
     pub fn serving(mut self, serving: ServingOptions) -> Self {
         self.serving = serving;
-        self
-    }
-
-    /// Set the cross-request inference coalescing window (see
-    /// [`udao_model::coalescer`]).
-    pub fn coalescer(mut self, options: CoalescerOptions) -> Self {
-        self.coalescer = options;
         self
     }
 
@@ -273,7 +265,6 @@ impl UdaoBuilder {
     pub fn build(self) -> Result<Udao> {
         validate_options(self.pf_variant, &self.pf_options, &self.resilience)?;
         self.serving.validate()?;
-        self.coalescer.validate().map_err(Error::InvalidConfig)?;
         if self.frontier_cache == Some(0) {
             return Err(Error::InvalidConfig("frontier_cache capacity must be >= 1".into()));
         }
@@ -299,9 +290,7 @@ impl UdaoBuilder {
             pf_variant: self.pf_variant,
             seed: self.seed,
             serving: self.serving,
-            coalescer: InferenceCoalescer::new(self.coalescer),
             frontier_cache: self.frontier_cache.map(|cap| Arc::new(FrontierCache::new(cap))),
-            precision: self.precision,
             history: Default::default(),
         })
     }
@@ -359,17 +348,9 @@ pub struct Udao {
     pf_variant: PfVariant,
     seed: u64,
     serving: ServingOptions,
-    /// Cross-request inference coalescer shared by every serving engine
-    /// started from this optimizer; dormant (fast-path) until at least two
-    /// engine workers solve concurrently.
-    pub(crate) coalescer: Arc<InferenceCoalescer>,
     /// Opt-in cross-request frontier cache; `None` (the default) keeps
     /// every solve cold and bitwise-identical to a cacheless optimizer.
     pub(crate) frontier_cache: Option<Arc<FrontierCache>>,
-    /// Inference precision rung for served learned models
-    /// ([`UdaoBuilder::precision`]); tags coalescer lanes so f32 and f64
-    /// serving paths never merge a dispatch.
-    pub(crate) precision: Precision,
     /// Raw trace archive per objective name: `(workload id, dataset)` pairs
     /// used for OtterTune-style workload mapping of data-poor online
     /// workloads (§V.1).
@@ -384,22 +365,9 @@ impl Udao {
     /// `E[F] + α·std[F]` so that the solver cannot exploit hallucinated
     /// minima far from the training data (§IV-B.3).
     pub fn new(cluster: ClusterSpec) -> Self {
-        let builder = Self::builder(cluster);
-        let provider = builder.server.clone() as Arc<dyn ModelProvider>;
-        Udao {
-            cluster: builder.cluster,
-            server: builder.server,
-            provider,
-            resilience: builder.resilience,
-            pf_options: builder.pf_options,
-            pf_variant: builder.pf_variant,
-            seed: builder.seed,
-            serving: builder.serving,
-            coalescer: InferenceCoalescer::new(builder.coalescer),
-            frontier_cache: None,
-            precision: builder.precision,
-            history: Default::default(),
-        }
+        Self::builder(cluster)
+            .build()
+            .expect("default builder options always validate")
     }
 
     /// Start building an optimizer for `cluster`; see [`UdaoBuilder`].
@@ -416,7 +384,6 @@ impl Udao {
             pf_variant: PfVariant::ApproxParallel,
             seed: 0xDA0,
             serving: ServingOptions::default(),
-            coalescer: CoalescerOptions::default(),
             frontier_cache: None,
             precision: Precision::default(),
         }
@@ -448,41 +415,34 @@ impl Udao {
         &self.resilience
     }
 
-    /// The cross-request inference coalescer shared by serving engines
-    /// started from this optimizer.
-    pub fn coalescer(&self) -> &Arc<InferenceCoalescer> {
-        &self.coalescer
-    }
-
     /// The cross-request frontier cache, when enabled via
     /// [`UdaoBuilder::frontier_cache`].
     pub fn frontier_cache(&self) -> Option<&Arc<FrontierCache>> {
         self.frontier_cache.as_ref()
     }
 
-    /// Reclaim idle serving-path state: retired coalescer lanes and
-    /// frontier-cache entries whose pinned model versions fell behind the
-    /// registry. Serving-engine workers call this from their idle path so
-    /// reclamation does not depend on a lifecycle manager running; it is
-    /// safe (and cheap) to call at any time.
+    /// Reclaim idle serving-path state: frontier-cache entries whose
+    /// pinned model versions fell behind the registry. Serving-engine
+    /// workers call this from their idle path so reclamation does not
+    /// depend on a lifecycle manager running; it is safe (and cheap) to
+    /// call at any time.
     pub fn prune_idle(&self) -> usize {
-        let mut reclaimed = self.coalescer.prune_idle_lanes();
-        if let Some(cache) = &self.frontier_cache {
-            reclaimed += cache.prune_stale(|workload, objective| {
-                // Per-stage entries pin versions under `stage{i}/{objective}`
-                // names against the `{workload}::stage{i}` model keys (see
-                // `crate::stage`); plain entries use the objective name
-                // against the workload key directly.
-                match objective.split_once('/') {
-                    Some((stage_part, name)) => self.server.current_version(&ModelKey::new(
-                        format!("{workload}::{stage_part}"),
-                        name,
-                    )),
-                    None => self.server.current_version(&ModelKey::new(workload, objective)),
-                }
-            });
-        }
-        reclaimed
+        let Some(cache) = &self.frontier_cache else {
+            return 0;
+        };
+        cache.prune_stale(|workload, objective| {
+            // Per-stage entries pin versions under `stage{i}/{objective}`
+            // names against the `{workload}::stage{i}` model keys (see
+            // `crate::stage`); plain entries use the objective name
+            // against the workload key directly.
+            match objective.split_once('/') {
+                Some((stage_part, name)) => self.server.current_version(&ModelKey::new(
+                    format!("{workload}::{stage_part}"),
+                    name,
+                )),
+                None => self.server.current_version(&ModelKey::new(workload, objective)),
+            }
+        })
     }
 
     /// Collect traces for a batch workload and train per-objective models.
@@ -680,19 +640,8 @@ impl Udao {
             }
             let key = ModelKey::new(request.workload_id.clone(), Objective::name(obj));
             let version = match self.resolve_model(&key, budget)? {
-                // Learned models route through the coalescer so concurrent
-                // engine-served solves against the *same version* can merge
-                // their inference batches; a no-op fast path outside engine
-                // concurrency. The lane key carries the epoch and the
-                // precision tag, so a pinned old version never batches with
-                // a freshly swapped one and f32-served models never batch
-                // with f64-served ones.
                 Some(lease) => {
-                    models.push(self.coalescer.wrap_versioned_tagged(
-                        lease.model,
-                        lease.version,
-                        self.precision.tag(),
-                    ));
+                    models.push(lease.model);
                     lease.version
                 }
                 None => {

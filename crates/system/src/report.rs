@@ -9,6 +9,7 @@
 
 use crate::resilience::FallbackStage;
 use serde::Value;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use udao_core::priority::Priority;
 use udao_telemetry::{names, MetricsSnapshot};
@@ -109,9 +110,13 @@ pub struct SolveReport {
     /// Per-DAG-stage attribution of a per-stage solve (empty for
     /// workload-level solves); filled by `Udao::recommend_stages`.
     pub stage_attribution: Vec<StageAttribution>,
-    /// Stage wall-clock extracted from span histograms, sorted by path.
+    /// Stage wall-clock from the delta's `span.*` histograms, sorted by
+    /// path.
     pub stages: Vec<StageTiming>,
-    /// The full telemetry delta, for anything not surfaced above.
+    /// The rest of the telemetry delta: every counter and histogram not
+    /// surfaced above. Counters with a typed field (`mogd.iterations`,
+    /// `pf.probes`, …) and the `span.*` histograms are moved out, not
+    /// copied, so each instrument appears once in a report.
     pub metrics: MetricsSnapshot,
 }
 
@@ -122,43 +127,48 @@ impl SolveReport {
         stage: FallbackStage,
         degraded: bool,
         total_seconds: f64,
-        delta: MetricsSnapshot,
+        mut delta: MetricsSnapshot,
     ) -> Self {
-        let stages = delta
-            .histograms
-            .iter()
-            .filter(|(name, _)| name.starts_with(names::SPAN_PREFIX))
+        let (spans, rest): (BTreeMap<_, _>, _) = std::mem::take(&mut delta.histograms)
+            .into_iter()
+            .partition(|(name, _)| name.starts_with(names::SPAN_PREFIX));
+        delta.histograms = rest;
+        let stages = spans
+            .into_iter()
             .map(|(name, h)| StageTiming {
                 path: name[names::SPAN_PREFIX.len()..].to_string(),
                 seconds: h.sum,
                 count: h.count,
             })
             .collect();
+        // Typed fields take their counters out of the delta, as `stages`
+        // takes the spans: each instrument is held once per report.
+        let mut take = |name: &str| delta.counters.remove(name).unwrap_or(0);
         Self {
             workload_id: workload_id.into(),
             stage,
             degraded,
             total_seconds,
-            mogd_iterations: delta.counter(names::MOGD_ITERATIONS),
-            mogd_restarts: delta.counter(names::MOGD_RESTARTS),
-            mogd_violations: delta.counter(names::MOGD_VIOLATIONS),
-            pf_probes: delta.counter(names::PF_PROBES),
-            model_inferences: delta.counter(names::MODEL_INFERENCES),
-            model_batch_calls: delta.counter(names::MODEL_BATCH_CALLS),
-            model_cache_hits: delta.counter(names::MODEL_CACHE_HITS),
-            model_cache_misses: delta.counter(names::MODEL_CACHE_MISSES),
-            model_lookups: delta.counter(names::MODEL_LOOKUPS),
-            cache_served: delta.counter(names::CACHE_SERVED),
-            cache_warm_starts: delta.counter(names::CACHE_WARM_STARTS),
-            cache_misses: delta.counter(names::CACHE_MISSES),
+            mogd_iterations: take(names::MOGD_ITERATIONS),
+            mogd_restarts: take(names::MOGD_RESTARTS),
+            mogd_violations: take(names::MOGD_VIOLATIONS),
+            pf_probes: take(names::PF_PROBES),
+            model_inferences: take(names::MODEL_INFERENCES),
+            model_batch_calls: take(names::MODEL_BATCH_CALLS),
+            model_cache_hits: take(names::MODEL_CACHE_HITS),
+            model_cache_misses: take(names::MODEL_CACHE_MISSES),
+            model_lookups: take(names::MODEL_LOOKUPS),
+            cache_served: take(names::CACHE_SERVED),
+            cache_warm_starts: take(names::CACHE_WARM_STARTS),
+            cache_misses: take(names::CACHE_MISSES),
             model_versions: Vec::new(),
-            stale_served: delta.counter(names::MODEL_STALE_SERVED),
-            fallback_transitions: delta.counter(names::FALLBACK_TRANSITIONS),
+            stale_served: take(names::MODEL_STALE_SERVED),
+            fallback_transitions: take(names::FALLBACK_TRANSITIONS),
             class: None,
             queue_wait_seconds: 0.0,
             reorders: 0,
-            stages_tuned: delta.counter(names::STAGE_TUNED),
-            stage_descent_rounds: delta.counter(names::STAGE_DESCENT_ROUNDS),
+            stages_tuned: take(names::STAGE_TUNED),
+            stage_descent_rounds: take(names::STAGE_DESCENT_ROUNDS),
             stage_attribution: Vec::new(),
             stages,
             metrics: delta,
@@ -177,7 +187,8 @@ impl SolveReport {
         )
     }
 
-    /// JSON value of the report (counters + stage timings + full delta).
+    /// JSON value of the report (counters + stage timings + the rest of
+    /// the delta).
     pub fn to_value(&self) -> Value {
         let stages = self
             .stages
@@ -384,6 +395,7 @@ mod tests {
         reg.counter(names::MODEL_BATCH_CALLS).add(101);
         reg.counter(names::MODEL_CACHE_HITS).add(77);
         reg.counter(names::MODEL_CACHE_MISSES).add(23);
+        reg.counter(names::MOGD_SOLVES).add(3);
         reg.histogram("span.recommend").record(0.25);
         reg.histogram("span.recommend/moo").record(0.2);
         reg.histogram(names::MOGD_SOLVE_SECONDS).record(0.01);
@@ -405,6 +417,12 @@ mod tests {
         assert_eq!(report.stages[0].path, "recommend");
         assert_eq!(report.stages[1].path, "recommend/moo");
         assert!((report.stages[1].seconds - 0.2).abs() < 1e-12);
+        // The span histograms moved into `stages` and the typed counters
+        // into their fields; everything else stays in `metrics`.
+        assert!(report.metrics.histogram("span.recommend").is_none());
+        assert!(report.metrics.histogram(names::MOGD_SOLVE_SECONDS).is_some());
+        assert_eq!(report.metrics.counter(names::MOGD_ITERATIONS), 0);
+        assert_eq!(report.metrics.counter(names::MOGD_SOLVES), 3);
     }
 
     #[test]

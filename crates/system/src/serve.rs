@@ -35,18 +35,11 @@
 //!   when `submit` accepts it, so time spent queued counts against the
 //!   deadline, and a request whose deadline passed while queued is shed at
 //!   dequeue instead of burning a worker.
-//! * **Load-adaptive cross-request batching** — every worker registers
-//!   with the optimizer's
-//!   [`InferenceCoalescer`](udao_model::InferenceCoalescer) while solving,
-//!   and the engine feeds the coalescer its observed queue depth, so the
-//!   coalescing window and batch fill target scale with backlog and
-//!   per-model predict cost instead of fixed constants (see
-//!   [`udao_model::CoalescerOptions`]).
 //! * **Determinism** — workers run the same seeded
-//!   [`Udao::recommend_within`] path as a serial caller, and the coalescer
-//!   only merges per-point-independent batch evaluations; for a fixed
-//!   request the engine returns bitwise-identical recommendations
-//!   regardless of worker count, scheduling order, or co-tenants.
+//!   [`Udao::recommend_within`] path as a serial caller, calling the
+//!   leased models directly; for a fixed request the engine returns
+//!   bitwise-identical recommendations regardless of worker count,
+//!   scheduling order, or co-tenants.
 //! * **Graceful drain** — [`ServingEngine::shutdown`] (and `Drop`) stops
 //!   admissions, lets workers finish everything already queued, and joins
 //!   them; submitted work is never abandoned.
@@ -389,8 +382,8 @@ impl ResponseHandle {
 
 /// The unit of queued work: a workload-level request or a per-stage
 /// request. Both flow through identical admission control, class
-/// scheduling, budget accounting, and the coalescer — a per-stage solve
-/// is just another tenant of the same worker pool.
+/// scheduling, and budget accounting — a per-stage solve is just another
+/// tenant of the same worker pool.
 enum Work<O: Objective> {
     Plain(Request<O>),
     Stages(StageRequest),
@@ -582,7 +575,7 @@ impl<O: Objective> ServingEngine<O> {
         let cap = shared.options.in_flight_cap();
         let quota = shared.options.quota(class);
         let slot = Arc::new(ResponseSlot::new());
-        let queue_len = {
+        {
             let mut st = lock(&shared.state);
             if st.draining {
                 return Err(shared.shed("engine is draining", class, None));
@@ -622,10 +615,7 @@ impl<O: Objective> ServingEngine<O> {
             udao_telemetry::counter(names::SERVE_ADMITTED).inc();
             udao_telemetry::counter(&names::serve_admitted_class(&class)).inc();
             udao_telemetry::histogram(names::SERVE_QUEUE_DEPTH).record(st.sched.len() as f64);
-            st.sched.len()
-        };
-        // Load hint for the adaptive coalescer: backlog depth at admission.
-        shared.udao.coalescer().observe_load(queue_len);
+        }
         shared.cv.notify_one();
         Ok(ResponseHandle { slot })
     }
@@ -662,9 +652,8 @@ impl<O: Objective> Drop for ServingEngine<O> {
     }
 }
 
-/// How long an idle worker waits before running a reclamation pass
-/// (retired coalescer lanes, stale frontier-cache entries) and going back
-/// to sleep. Pruning runs off-lock, so a request arriving mid-prune is
+/// How long an idle worker waits before running a reclamation pass (stale
+/// frontier-cache entries) and going back to sleep. Pruning runs off-lock, so a request arriving mid-prune is
 /// picked up by another worker immediately.
 const IDLE_PRUNE_PERIOD: Duration = Duration::from_millis(50);
 
@@ -674,12 +663,8 @@ fn worker_loop<O: Objective>(shared: &Arc<Shared<O>>) {
             let mut st = lock(&shared.state);
             loop {
                 if let Some((_, job)) = st.sched.pop() {
-                    let depth = st.sched.len();
-                    udao_telemetry::histogram(names::SERVE_QUEUE_DEPTH).record(depth as f64);
-                    drop(st);
-                    // Refresh the coalescer's backlog hint at dequeue, so
-                    // a drained queue shrinks the window promptly.
-                    shared.udao.coalescer().observe_load(depth);
+                    udao_telemetry::histogram(names::SERVE_QUEUE_DEPTH)
+                        .record(st.sched.len() as f64);
                     break Some(job);
                 }
                 if st.draining {
@@ -690,12 +675,11 @@ fn worker_loop<O: Objective>(shared: &Arc<Shared<O>>) {
                     .wait_timeout(st, IDLE_PRUNE_PERIOD)
                     .unwrap_or_else(|p| p.into_inner());
                 st = guard;
-                // Periodic idle-path reclamation: without this, retired
-                // coalescer lanes and stale cached frontiers only went
-                // away when a lifecycle manager happened to publish.
+                // Periodic idle-path reclamation: without this, stale
+                // cached frontiers only went away when a lifecycle manager
+                // happened to publish.
                 if wait.timed_out() && st.sched.is_empty() && !st.draining {
                     drop(st);
-                    shared.udao.coalescer().observe_load(0);
                     shared.udao.prune_idle();
                     st = lock(&shared.state);
                 }
@@ -719,14 +703,10 @@ fn serve_job<O: Objective>(shared: &Arc<Shared<O>>, job: Job<O>) {
     }
     udao_telemetry::histogram(names::SERVE_QUEUE_WAIT_SECONDS)
         .record(queue_wait.as_secs_f64());
-    // While this worker solves, its inference batches may merge with other
-    // in-flight solves' batches against the same served models.
-    let coalesce_guard = shared.udao.coalescer().register_solver();
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| match &job.work {
         Work::Plain(request) => shared.udao.recommend_within(request, job.budget),
         Work::Stages(request) => shared.udao.recommend_stages_within(request, job.budget),
     }));
-    drop(coalesce_guard);
     let result = outcome.unwrap_or_else(|payload| {
         let msg = if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()

@@ -26,9 +26,9 @@
 //! per-stage models from the model server under
 //! `{workload}::stage{i}` keys. Solves flow through the same serving
 //! machinery as workload-level requests: budgets, the resilience ladder,
-//! the inference coalescer, and the frontier cache — whose keys are
-//! extended with a stage-shape fingerprint so a cached frontier can never
-//! serve a differently-shaped DAG.
+//! and the frontier cache — whose keys are extended with a stage-shape
+//! fingerprint so a cached frontier can never serve a differently-shaped
+//! DAG.
 //!
 //! Telemetry: `stage.tuned` (stages tuned per solve), `stage.descent_rounds`
 //! (coordinate-descent rounds across the weight sweep), and
@@ -294,7 +294,7 @@ pub struct StageTuner<'a> {
 
 impl Udao {
     /// The per-stage tuner over this optimizer's models, solver options,
-    /// coalescer, and frontier cache.
+    /// and frontier cache.
     pub fn stage_tuner(&self) -> StageTuner<'_> {
         StageTuner { udao: self }
     }
@@ -520,11 +520,7 @@ impl StageTuner<'_> {
                             Some(lease) => {
                                 versions.push((format!("stage{i}/{}", spec.name), lease.version));
                                 generation = fnv(generation, lease.version);
-                                models.push(udao.coalescer.wrap_versioned_tagged(
-                                    lease.model,
-                                    lease.version,
-                                    udao.precision.tag(),
-                                ));
+                                models.push(lease.model);
                             }
                             // Stage models have no workload-agnostic
                             // heuristic prior: a missing stage model is a

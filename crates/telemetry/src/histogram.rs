@@ -39,6 +39,14 @@ fn bucket_lower_edge(i: usize) -> f64 {
     }
 }
 
+/// `counts` up to its last non-empty bucket, allocated to fit. Snapshots
+/// store only this prefix: one request's histogram fills a few buckets out
+/// of [`BUCKETS`], and per-request reports keep their snapshots.
+fn trimmed(counts: &[u64]) -> Vec<u64> {
+    let len = counts.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
+    counts[..len].to_vec()
+}
+
 /// Atomically add `v` to an `AtomicU64` holding `f64` bits.
 fn atomic_add_f64(cell: &AtomicU64, v: f64) {
     let mut current = cell.load(Ordering::Relaxed);
@@ -127,8 +135,10 @@ impl Histogram {
     /// individually, so a snapshot taken during concurrent recording may be
     /// off by in-flight observations — never torn within one bucket.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let counts: [u64; BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
         HistogramSnapshot {
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+            buckets: trimmed(&counts),
             count: self.count(),
             sum: self.sum(),
         }
@@ -148,7 +158,9 @@ impl std::fmt::Debug for Histogram {
 /// JSON-exportable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
-    /// Per-bucket observation counts (see [`BUCKETS`]).
+    /// Per-bucket observation counts (see [`BUCKETS`]), from bucket 0
+    /// through the last non-empty one: trailing empty buckets are not
+    /// stored, so an index past the end reads as an empty bucket.
     pub buckets: Vec<u64>,
     /// Total observations.
     pub count: u64,
@@ -159,7 +171,7 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// An empty snapshot.
     pub fn empty() -> Self {
-        HistogramSnapshot { buckets: vec![0; BUCKETS], count: 0, sum: 0.0 }
+        HistogramSnapshot { buckets: Vec::new(), count: 0, sum: 0.0 }
     }
 
     /// Mean observation (0 when empty).
@@ -187,14 +199,14 @@ impl HistogramSnapshot {
     /// The observations recorded after `earlier` was taken, assuming
     /// `earlier` is an older snapshot of the same histogram.
     pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let buckets = self
+        let buckets: Vec<u64> = self
             .buckets
             .iter()
             .enumerate()
             .map(|(i, b)| b.saturating_sub(earlier.buckets.get(i).copied().unwrap_or(0)))
             .collect();
         HistogramSnapshot {
-            buckets,
+            buckets: trimmed(&buckets),
             count: self.count.saturating_sub(earlier.count),
             sum: (self.sum - earlier.sum).max(0.0),
         }
@@ -362,6 +374,19 @@ mod tests {
         assert_eq!(d.buckets[bucket_index(1.0)], 0);
         assert_eq!(d.buckets[bucket_index(16.0)], 2);
         assert!((d.sum - 32.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn snapshots_and_deltas_store_no_trailing_empty_buckets() {
+        let h = Histogram::new();
+        assert!(h.snapshot().buckets.is_empty());
+        h.record(100.0);
+        let before = h.snapshot();
+        assert_eq!(before.buckets.len(), bucket_index(100.0) + 1);
+        h.record(1e-3);
+        let d = h.snapshot().delta_since(&before);
+        assert_eq!(d.buckets.len(), bucket_index(1e-3) + 1);
+        assert_eq!(d.buckets[bucket_index(1e-3)], 1);
     }
 
     #[test]

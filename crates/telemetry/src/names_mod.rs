@@ -125,9 +125,10 @@ pub const SERVE_ADMITTED: &str = "serve.admitted";
 pub const SERVE_COMPLETED: &str = "serve.completed";
 /// End-to-end seconds from admission to response (queue wait + solve).
 pub const SERVE_SECONDS: &str = "serve.seconds";
-/// Points per coalesced cross-request inference dispatch (histogram; only
-/// recorded when at least two solves are active, i.e. the coalescer left
-/// its single-solver fast path).
+/// Points per coalesced cross-request inference dispatch (histogram).
+/// Nothing records it any more: cross-request inference coalescing was
+/// removed, so the name stays only for readers compiled against it, which
+/// now always see it empty.
 pub const SERVE_COALESCED_BATCH_SIZE: &str = "serve.coalesced_batch_size";
 /// Seconds each dispatched request spent queued between admission and the
 /// start of its solve (histogram).

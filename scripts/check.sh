@@ -14,6 +14,13 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> perfbench build + tests (a separate Cargo workspace)"
+# perfbench has its own [workspace], so `--workspace` above never compiles
+# it; build and test it here so a public-API change that breaks the
+# end-to-end benchmark fails this gate.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -W clippy::disallowed-methods -D warnings
 

@@ -304,41 +304,6 @@ proptest! {
         }
     }
 
-    // Coalescer flush equivalence: with enough registered solvers to defeat
-    // the single-caller fast path, every prediction is routed through the
-    // cross-request batching lane — and must still be bitwise identical to
-    // calling the wrapped model directly, for scalar, batch, and std paths.
-    #[test]
-    fn coalesced_inference_is_bitwise_equal_to_direct(
-        raw in prop::collection::vec(0.0f64..1.0, 2..24)
-    ) {
-        use std::sync::Arc;
-        use udao_core::objective::{FnModel, ObjectiveModel};
-        use udao_model::{CoalescerOptions, InferenceCoalescer};
-
-        let xs: Vec<Vec<f64>> = raw.chunks_exact(2).map(|c| c.to_vec()).collect();
-        let inner: Arc<dyn ObjectiveModel> =
-            Arc::new(FnModel::new(2, |x| (7.3 * x[0]).sin() + x[1] * x[1]));
-        let co = InferenceCoalescer::new(CoalescerOptions::default());
-        let wrapped = co.wrap(Arc::clone(&inner));
-        let _g1 = co.register_solver();
-        let _g2 = co.register_solver();
-
-        let mut direct = vec![0.0; xs.len()];
-        inner.predict_batch(&xs, &mut direct);
-        let mut coalesced = vec![0.0; xs.len()];
-        wrapped.predict_batch(&xs, &mut coalesced);
-        // Batch, scalar, and std flushes must all be bitwise exact.
-        for (a, b) in direct.iter().zip(&coalesced) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-        prop_assert_eq!(inner.predict(&xs[0]).to_bits(), wrapped.predict(&xs[0]).to_bits());
-        prop_assert_eq!(
-            inner.predict_std(&xs[0]).to_bits(),
-            wrapped.predict_std(&xs[0]).to_bits()
-        );
-    }
-
     // Adversarial robustness: under models that randomly return NaN/∞,
     // MOGD and PF-AS must never panic, never report a non-finite
     // objective, and never step outside the unit hypercube. A typed

@@ -1,6 +1,6 @@
 //! Concurrency stress tests for the serving engine: response integrity,
 //! determinism across worker counts, typed shedding, graceful drain, and
-//! per-request report isolation under cross-request inference coalescing.
+//! per-request report isolation while several workers solve at once.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -134,7 +134,7 @@ fn mixed_batch_and_stream_requests_serve_concurrently() {
         &[StreamObjective::Latency, StreamObjective::Throughput],
     );
     let udao = Arc::new(udao);
-    // One optimizer, two typed front doors sharing its coalescer.
+    // One optimizer, two typed front doors sharing its models.
     let batch_engine: ServingEngine<BatchObjective> =
         ServingEngine::start_with(Arc::clone(&udao), ServingOptions::default().with_workers(2));
     let stream_engine: ServingEngine<StreamObjective> =
@@ -241,9 +241,9 @@ fn per_request_reports_stay_exact_under_engine_concurrency() {
         (0..4).map(|_| engine.submit(q2_request(5)).expect("admitted")).collect();
     for handle in handles {
         let report = handle.wait().expect("engine solve").report;
-        // Even with inference batches coalesced across these four solves,
-        // each report must attribute exactly the work a solo solve does —
-        // no bleed, no absorption.
+        // With these four solves running on concurrent workers, each report
+        // must attribute exactly the work a solo solve does — no bleed, no
+        // absorption.
         assert_eq!(report.mogd_iterations, solo.mogd_iterations);
         assert_eq!(report.mogd_restarts, solo.mogd_restarts);
         assert_eq!(report.pf_probes, solo.pf_probes);
