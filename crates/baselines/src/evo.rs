@@ -1,4 +1,4 @@
-//! NSGA-II [6] — the evolutionary baseline ("Evo" in §VI).
+//! NSGA-II \[6\] — the evolutionary baseline ("Evo" in §VI).
 //!
 //! A complete real-coded NSGA-II: fast non-dominated sorting, crowding
 //! distance, binary tournament selection, simulated-binary crossover, and

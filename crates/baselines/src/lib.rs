@@ -4,18 +4,18 @@
 //! scratch over the same [`MooProblem`](udao_core::MooProblem) interface so
 //! that all methods are scored with identical metrics:
 //!
-//! * [`ws`] — Weighted Sum [19]: a weight sweep, each solved by multi-start
+//! * [`ws`] — Weighted Sum \[19\]: a weight sweep, each solved by multi-start
 //!   gradient descent. Known to cover convex frontiers poorly.
-//! * [`nc`] — Normalized (Normal) Constraints [21]: evenly spaced points on
+//! * [`nc`] — Normalized (Normal) Constraints \[21\]: evenly spaced points on
 //!   the utopia plane with normal-constraint sub-problems.
-//! * [`evo`] — NSGA-II [6]: full fast-non-dominated-sort with crowding
+//! * [`evo`] — NSGA-II \[6\]: full fast-non-dominated-sort with crowding
 //!   distance, binary tournament selection, SBX crossover, and polynomial
 //!   mutation. Randomized, hence *inconsistent* across probe budgets
 //!   (Fig. 4(e)).
 //! * [`mobo`] — multi-objective Bayesian optimization: an EHVI acquisition
-//!   (qEHVI-style [5]) and a predictive-entropy-search approximation
-//!   (PESM-style [10]) over from-scratch GP surrogates.
-//! * [`ottertune`] — an OtterTune-style single-objective tuner [35]: GP
+//!   (qEHVI-style \[5\]) and a predictive-entropy-search approximation
+//!   (PESM-style \[10\]) over from-scratch GP surrogates.
+//! * [`ottertune`] — an OtterTune-style single-objective tuner \[35\]: GP
 //!   surrogate with Expected-Improvement search and workload mapping.
 //!
 //! Each method returns a [`BaselineRun`] carrying the final frontier and

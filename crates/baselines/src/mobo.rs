@@ -4,9 +4,9 @@
 //! fit from-scratch GP surrogates (`udao-model`) to the points evaluated so
 //! far and choose the next probe by an acquisition function.
 //!
-//! * [`ehvi`] — qEHVI-style [5]: Monte-Carlo Expected HyperVolume
+//! * [`ehvi`] — qEHVI-style \[5\]: Monte-Carlo Expected HyperVolume
 //!   Improvement over a random candidate pool. The faster MOBO.
-//! * [`pesm`] — PESM-style [10]: predictive entropy search for
+//! * [`pesm`] — PESM-style \[10\]: predictive entropy search for
 //!   multi-objective optimization, approximated by Thompson-sampled Pareto
 //!   membership frequency (candidates that are Pareto-optimal under many
 //!   posterior draws carry the most information about the frontier). This

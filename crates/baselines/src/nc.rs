@@ -1,4 +1,4 @@
-//! Normalized (Normal) Constraints [21]: anchor the objectives, lay evenly
+//! Normalized (Normal) Constraints \[21\]: anchor the objectives, lay evenly
 //! spaced points on the (normalized) utopia plane, and solve one
 //! constrained problem per point, cutting the feasible region with normal
 //! hyperplanes.

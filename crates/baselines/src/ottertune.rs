@@ -1,4 +1,4 @@
-//! An OtterTune-style performance tuner [35] — the end-to-end comparator
+//! An OtterTune-style performance tuner \[35\] — the end-to-end comparator
 //! of §VI-B.
 //!
 //! OtterTune is a *single-objective* tuner: it builds a GP model of the

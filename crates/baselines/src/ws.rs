@@ -1,4 +1,4 @@
-//! Weighted Sum [19]: scalarize the objectives with a sweep of weight
+//! Weighted Sum \[19\]: scalarize the objectives with a sweep of weight
 //! vectors and solve each scalarized problem from scratch.
 //!
 //! The method's two well-known weaknesses — both reproduced in Fig. 4(b) —

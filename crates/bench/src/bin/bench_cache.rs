@@ -119,8 +119,8 @@ fn run() -> Result<(), String> {
     let cache: &Arc<FrontierCache> = udao.frontier_cache().ok_or("cache not enabled")?;
 
     // Warm-up solves keep one-time costs out of the measured rounds.
-    udao.recommend_batch(&request(3)).map_err(|e| format!("warm-up: {e}"))?;
-    control.recommend_batch(&request(3)).map_err(|e| format!("control warm-up: {e}"))?;
+    udao.recommend(&request(3)).map_err(|e| format!("warm-up: {e}"))?;
+    control.recommend(&request(3)).map_err(|e| format!("control warm-up: {e}"))?;
 
     let before = udao_telemetry::global().snapshot();
     let mut cold_ms = Vec::with_capacity(rounds);
@@ -132,13 +132,13 @@ fn run() -> Result<(), String> {
     let mut hv_min = f64::INFINITY;
     for round in 0..rounds {
         cache.invalidate_all();
-        let cold = udao.recommend_batch(&request(5)).map_err(|e| format!("cold {round}: {e}"))?;
+        let cold = udao.recommend(&request(5)).map_err(|e| format!("cold {round}: {e}"))?;
         if cold.report.cache_misses != 1 {
             return Err(format!("round {round}: cold solve was not a miss"));
         }
         cold_ms.push(cold.report.total_seconds * 1e3);
 
-        let hit = udao.recommend_batch(&request(5)).map_err(|e| format!("hit {round}: {e}"))?;
+        let hit = udao.recommend(&request(5)).map_err(|e| format!("hit {round}: {e}"))?;
         if hit.report.cache_served != 1 {
             return Err(format!("round {round}: repeat was not served from the cache"));
         }
@@ -146,7 +146,7 @@ fn run() -> Result<(), String> {
         hit_ms.push(hit.report.total_seconds * 1e3);
 
         // Near hit: same key, different point count → warm-started solve.
-        let warm = udao.recommend_batch(&request(4)).map_err(|e| format!("warm {round}: {e}"))?;
+        let warm = udao.recommend(&request(4)).map_err(|e| format!("warm {round}: {e}"))?;
         if warm.report.cache_warm_starts != 1 {
             return Err(format!("round {round}: near hit did not warm-start"));
         }
@@ -154,7 +154,7 @@ fn run() -> Result<(), String> {
         warm_ms.push(warm.report.total_seconds * 1e3);
 
         let cold_ref =
-            control.recommend_batch(&request(4)).map_err(|e| format!("control {round}: {e}"))?;
+            control.recommend(&request(4)).map_err(|e| format!("control {round}: {e}"))?;
         cold_ref_ms.push(cold_ref.report.total_seconds * 1e3);
         hv_min = hv_min.min(hv_ratio(&warm.frontier, &cold_ref.frontier)?);
     }

@@ -94,7 +94,7 @@ fn run() -> Result<(), String> {
     let udao = Arc::new(udao);
 
     // Warm-up solve so one-time costs stay out of the measured window.
-    udao.recommend_batch(&request()).map_err(|e| format!("warm-up: {e}"))?;
+    udao.recommend(&request()).map_err(|e| format!("warm-up: {e}"))?;
 
     let before = udao_telemetry::global().snapshot();
 

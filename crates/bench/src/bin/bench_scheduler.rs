@@ -189,7 +189,7 @@ fn run() -> Result<(), String> {
     let udao = Arc::new(udao);
 
     // Warm-up solve so one-time costs don't land in the unloaded phase.
-    udao.recommend_batch(&request(Priority::Standard)).map_err(|e| format!("warm-up: {e}"))?;
+    udao.recommend(&request(Priority::Standard)).map_err(|e| format!("warm-up: {e}"))?;
 
     // Phase one: unloaded interactive baseline.
     let engine: ServingEngine<BatchObjective> =

@@ -42,7 +42,7 @@ fn run() -> Result<(), String> {
         .ok_or("workload q2-v0 missing")?;
     udao.train_batch(q2, 40, ModelFamily::Gp, &[BatchObjective::Latency]);
     let rec = udao
-        .recommend_batch(
+        .recommend(
             &BatchRequest::new("q2-v0")
                 .objective(BatchObjective::Latency)
                 .objective(BatchObjective::CostCores)

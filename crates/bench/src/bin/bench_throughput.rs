@@ -156,7 +156,7 @@ fn run() -> Result<(), String> {
 
     // Warm-up solve so one-time costs (simulator tables, allocator) don't
     // land inside the single-worker level.
-    udao.recommend_batch(&request()).map_err(|e| format!("warm-up: {e}"))?;
+    udao.recommend(&request()).map_err(|e| format!("warm-up: {e}"))?;
 
     let mut levels = Vec::new();
     for workers in WORKER_LEVELS {

@@ -31,13 +31,13 @@ fn main() {
             .objective_bounded(BatchObjective::CostCores, 4.0, 58.0)
             .weights(weights.to_vec())
             .points(12);
-        let rec = udao.recommend_batch(&req).expect("udao recommendation");
+        let rec = udao.recommend(&req).expect("udao recommendation");
         let u_conf = rec.batch_conf.unwrap();
         let u_meas = udao.measure_batch(q2, &u_conf, 1).expect("simulatable workload");
 
         // OtterTune: GP models + weighted-sum EI search.
         let udao_gp = train(ModelFamily::Gp);
-        let problem = udao_gp.batch_problem(&req).unwrap();
+        let problem = udao_gp.problem(&req).unwrap();
         let (mut u, mut n) = udao_baselines::reference_box(&problem, q2.seed);
         for (j, b) in problem.constraints.iter().enumerate() {
             if b.lo.is_finite() {

@@ -11,8 +11,8 @@
 use udao::ModelFamily;
 use udao_baselines::evo::{nsga2, EvoConfig};
 use udao_bench::{
-    batch_problem, experiment_udao, frontier_rows, median, run_method, uncertainty_at, write_csv,
-    Budgets, Method,
+    batch_moo_problem, experiment_udao, frontier_rows, median, run_method, uncertainty_at,
+    write_csv, Budgets, Method,
 };
 use udao_core::MooProblem;
 use udao_sparksim::batch_workloads;
@@ -22,7 +22,7 @@ fn job9_problem() -> (MooProblem, Vec<f64>, Vec<f64>) {
     let udao = experiment_udao();
     let workloads = batch_workloads();
     let job9 = workloads.iter().find(|w| w.id == "q9-v0").expect("job 9");
-    let p = batch_problem(
+    let p = batch_moo_problem(
         &udao,
         job9,
         ModelFamily::Dnn,
@@ -134,7 +134,7 @@ fn fig4f(jobs: usize) {
     for (wi, w) in workloads.iter().take(jobs).enumerate() {
         let udao = experiment_udao();
         // Small DNNs keep the 258-job fleet tractable; same family as 4(a).
-        let p = batch_problem(
+        let p = batch_moo_problem(
             &udao,
             w,
             ModelFamily::Dnn,

@@ -9,7 +9,7 @@
 
 use udao::ModelFamily;
 use udao_bench::{
-    experiment_udao, frontier_rows, median, run_method, stream_problem, uncertainty_at,
+    experiment_udao, frontier_rows, median, run_method, stream_moo_problem, uncertainty_at,
     write_csv, Budgets, Method,
 };
 use udao_core::MooProblem;
@@ -24,7 +24,7 @@ fn job_problem(index: usize, objectives: &[StreamObjective]) -> (MooProblem, Vec
     let udao = experiment_udao();
     let workloads = streaming_workloads();
     let job = &workloads[index];
-    let p = stream_problem(&udao, job, ModelFamily::Dnn, 100, objectives);
+    let p = stream_moo_problem(&udao, job, ModelFamily::Dnn, 100, objectives);
     let (u, n) = udao_baselines::reference_box(&p, index as u64);
     (p, u, n)
 }
@@ -80,7 +80,7 @@ fn fig5ef(jobs: usize, objectives: &[StreamObjective], tag: &str) {
     let budgets = Budgets { sizes: vec![10, 15], ..Default::default() };
     for (wi, w) in workloads.iter().take(jobs).enumerate() {
         let udao = experiment_udao();
-        let p = stream_problem(&udao, w, ModelFamily::Dnn, 60, objectives);
+        let p = stream_moo_problem(&udao, w, ModelFamily::Dnn, 60, objectives);
         let (u, n) = udao_baselines::reference_box(&p, wi as u64);
         for (mi, m) in methods.iter().enumerate() {
             let run = run_method(*m, &p, &budgets, &u, &n);

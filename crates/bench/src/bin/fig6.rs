@@ -95,8 +95,8 @@ fn fig6ab() {
                 .objective_bounded(BatchObjective::CostCores, 4.0, 58.0)
                 .weights(weights.to_vec())
                 .points(12);
-            let Ok(rec) = udao.recommend_batch(&req) else { continue };
-            let problem = udao.batch_problem(&req).unwrap();
+            let Ok(rec) = udao.recommend(&req) else { continue };
+            let problem = udao.problem(&req).unwrap();
             let ot_x = ottertune_recommend(&problem, &weights, w.seed);
             let ot_f = problem.evaluate(&problem_space_snap(&ot_x)).unwrap();
             // Accurate-model regime: predicted values are the truth.
@@ -162,8 +162,8 @@ fn fig6cd() {
                 .objective(StreamObjective::Throughput)
                 .weights(weights.to_vec())
                 .points(12);
-            let Ok(rec) = udao.recommend_streaming(&req) else { continue };
-            let problem = udao.stream_problem(&req).unwrap();
+            let Ok(rec) = udao.recommend(&req) else { continue };
+            let problem = udao.problem(&req).unwrap();
             let ot_x = ottertune_recommend(&problem, &weights, w.seed);
             let snapped = StreamConf::space().snap(&ot_x).unwrap();
             let ot_f = problem.evaluate(&snapped).unwrap();
@@ -232,12 +232,12 @@ fn fig6ef() {
                 .objective_bounded(BatchObjective::CostCores, 4.0, 58.0)
                 .weights(weights.to_vec())
                 .points(12);
-            let Ok(rec) = udao.recommend_batch(&req) else { continue };
+            let Ok(rec) = udao.recommend(&req) else { continue };
             let u_conf = rec.batch_conf.unwrap();
             let u_meas = udao.measure_batch(w, &u_conf, 7).expect("simulatable workload");
             // OtterTune with GP models.
             let udao_gp = batch_udao(ModelFamily::Gp, w);
-            let problem = udao_gp.batch_problem(&req).unwrap();
+            let problem = udao_gp.problem(&req).unwrap();
             let ot_x = ottertune_recommend(&problem, &weights, w.seed);
             let o_conf = BatchConf::from_configuration(
                 &BatchConf::space().decode(&problem_space_snap(&ot_x)).unwrap(),
@@ -310,7 +310,7 @@ fn fig6gh() {
                     .weights(weights.to_vec())
                     .points(10);
                 // UDAO / DNN.
-                if let Ok(rec) = udao_dnn.recommend_batch(&req) {
+                if let Ok(rec) = udao_dnn.recommend(&req) {
                     let meas = udao_dnn.measure_batch(w, rec.batch_conf.as_ref().unwrap(), 5).expect("simulatable workload");
                     let ape = (rec.predicted[0] - meas.latency_s).abs() / meas.latency_s;
                     let pir = (manual_lat - meas.latency_s) / manual_lat * 100.0;
@@ -321,7 +321,7 @@ fn fig6gh() {
                     rows_u.push(format!("{},{ape:.4},{pir:.2}", w.id));
                 }
                 // OtterTune / GP.
-                let problem = udao_gp.batch_problem(&req).unwrap();
+                let problem = udao_gp.problem(&req).unwrap();
                 let ot_x = ottertune_recommend(&problem, &weights, w.seed);
                 let snapped = problem_space_snap(&ot_x);
                 let pred = problem.evaluate(&snapped).unwrap();

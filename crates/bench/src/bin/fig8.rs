@@ -8,7 +8,7 @@
 use udao::ModelFamily;
 use udao_baselines::evo::{nsga2, EvoConfig};
 use udao_bench::{
-    experiment_udao, frontier_rows, run_method, stream_problem, uncertainty_at, write_csv,
+    experiment_udao, frontier_rows, run_method, stream_moo_problem, uncertainty_at, write_csv,
     Budgets, Method,
 };
 use udao_sparksim::objectives::StreamObjective;
@@ -30,7 +30,7 @@ fn main() {
     let udao = experiment_udao();
     let workloads = streaming_workloads();
     let job56 = &workloads[55];
-    let p = stream_problem(&udao, job56, ModelFamily::Dnn, 100, &OBJ_2D);
+    let p = stream_moo_problem(&udao, job56, ModelFamily::Dnn, 100, &OBJ_2D);
     let (u, n) = udao_baselines::reference_box(&p, 56);
     let budgets = Budgets::default();
     let mut rows = Vec::new();
@@ -67,7 +67,7 @@ fn main() {
     for (job_idx, file) in [(55usize, "fig8d_evo_job56.csv"), (53, "fig8e_evo_job54.csv")] {
         let udao = experiment_udao();
         let w = &workloads[job_idx];
-        let p = stream_problem(&udao, w, ModelFamily::Dnn, 100, &OBJ_2D);
+        let p = stream_moo_problem(&udao, w, ModelFamily::Dnn, 100, &OBJ_2D);
         let mut rows = Vec::new();
         for probes in [300usize, 400, 500] {
             let run = nsga2(&p, probes, &EvoConfig::default());
@@ -84,7 +84,7 @@ fn main() {
     let mut cells: Vec<Vec<f64>> = vec![Vec::new(); 4]; // Evo@1, PF@1, Evo@2, PF@2
     for (wi, w) in workloads.iter().take(jobs).enumerate() {
         let udao = experiment_udao();
-        let p = stream_problem(&udao, w, ModelFamily::Dnn, 60, &OBJ_2D);
+        let p = stream_moo_problem(&udao, w, ModelFamily::Dnn, 60, &OBJ_2D);
         let (u, n) = udao_baselines::reference_box(&p, wi as u64);
         let evo = run_method(Method::Evo, &p, &budgets, &u, &n);
         let pf = run_method(Method::PfAp, &p, &budgets, &u, &n);

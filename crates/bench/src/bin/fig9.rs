@@ -84,11 +84,11 @@ fn main() {
                 .weights(weights.to_vec())
                 .points(10);
             // UDAO (DNN).
-            let Ok(rec) = udao_dnn.recommend_batch(&req) else { continue };
+            let Ok(rec) = udao_dnn.recommend(&req) else { continue };
             let u_meas = udao_dnn.measure_batch(w, rec.batch_conf.as_ref().unwrap(), 11).expect("simulatable workload");
             let u_cost_meas = cost2.extract(&u_meas);
             // OtterTune (GP).
-            let problem = udao_gp.batch_problem(&req).unwrap();
+            let problem = udao_gp.problem(&req).unwrap();
             let x = ottertune_x(&problem, &weights, w.seed);
             let snapped = BatchConf::space().snap(&x).unwrap();
             let o_pred = problem.evaluate(&snapped).unwrap();

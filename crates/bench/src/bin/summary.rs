@@ -5,7 +5,7 @@
 //! Run: `cargo run --release -p udao-bench --bin summary [-- --jobs N]`
 
 use udao::ModelFamily;
-use udao_bench::{batch_problem, experiment_udao, run_method, write_csv, Budgets, Method};
+use udao_bench::{batch_moo_problem, experiment_udao, run_method, write_csv, Budgets, Method};
 use udao_sparksim::batch_workloads;
 use udao_sparksim::objectives::BatchObjective;
 
@@ -27,7 +27,7 @@ fn main() {
     let workloads = batch_workloads();
     for (wi, w) in workloads.iter().take(jobs).enumerate() {
         let udao = experiment_udao();
-        let p = batch_problem(
+        let p = batch_moo_problem(
             &udao,
             w,
             ModelFamily::Dnn,

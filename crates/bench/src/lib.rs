@@ -48,7 +48,7 @@ pub fn experiment_udao() -> Udao {
 /// Build a learned-model batch MOO problem for `workload`: train the given
 /// family on `n_traces` simulator traces, return the problem over the
 /// requested objectives (CostCores stays analytic).
-pub fn batch_problem(
+pub fn batch_moo_problem(
     udao: &Udao,
     workload: &Workload,
     family: ModelFamily,
@@ -60,11 +60,11 @@ pub fn batch_problem(
     for o in objectives {
         req = req.objective(*o);
     }
-    udao.batch_problem(&req).expect("models trained")
+    udao.problem(&req).expect("models trained")
 }
 
 /// Build a learned-model streaming MOO problem.
-pub fn stream_problem(
+pub fn stream_moo_problem(
     udao: &Udao,
     workload: &Workload,
     family: ModelFamily,
@@ -76,7 +76,7 @@ pub fn stream_problem(
     for o in objectives {
         req = req.objective(*o);
     }
-    udao.stream_problem(&req).expect("models trained")
+    udao.problem(&req).expect("models trained")
 }
 
 /// The MOO methods of the §VI comparison.

@@ -69,3 +69,15 @@ pub use objective::{Direction, FnModel, ObjectiveModel, ObjectiveSpec};
 pub use pareto::ParetoPoint;
 pub use solver::MooProblem;
 pub use stage::{ComposedObjective, Fold, StageDag, StageSpace};
+
+/// FNV-1a offset basis: the starting value of an [`fnv_fold`] chain.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step over a whole `u64` word. Stable across runs and
+/// processes (no random state), so it backs every structural fingerprint
+/// and model-version stamp: DAG and space shapes, per-stage cache shapes,
+/// pinned-version generations and MOGD memo shards.
+#[inline]
+pub fn fnv_fold(hash: u64, v: u64) -> u64 {
+    (hash ^ v).wrapping_mul(0x100_0000_01b3)
+}

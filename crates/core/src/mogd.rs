@@ -15,6 +15,7 @@ use crate::budget::Budget;
 use crate::error::{Error, Result};
 use crate::objective::ObjectiveModel;
 use crate::solver::{Bound, CoProblem, CoSolution, CoSolver, MooProblem};
+use crate::{fnv_fold, FNV_OFFSET};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -150,11 +151,7 @@ fn cache_key(x: &[f64]) -> Vec<i64> {
 
 impl MemoCache {
     fn shard_of(key: &[i64]) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for v in key {
-            h ^= *v as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
+        let h = key.iter().fold(FNV_OFFSET, |h, v| fnv_fold(h, *v as u64));
         (h as usize) % CACHE_SHARDS
     }
 

@@ -74,6 +74,19 @@ pub struct PfOptions {
     pub max_probes: usize,
 }
 
+impl PfOptions {
+    /// The constraint tolerance `variant`'s CO solver accepts points at:
+    /// the exact lattice solver's under PF-S, MOGD's otherwise. Seed
+    /// frontiers are filtered against a new problem at this tolerance, so
+    /// a resumed run keeps only points that pass its own probes' test.
+    pub fn accept_tol(&self, variant: PfVariant) -> f64 {
+        match variant {
+            PfVariant::Sequential => ExactGridSolver::default().tol,
+            PfVariant::ApproxSequential | PfVariant::ApproxParallel => self.mogd.tol,
+        }
+    }
+}
+
 impl Default for PfOptions {
     fn default() -> Self {
         Self {
@@ -177,6 +190,14 @@ impl PfSeed {
             && self.uncertain.iter().all(|r| r.dim() == k)
     }
 
+    /// Whether any seed point satisfies `problem`'s value constraints within
+    /// `tol`. A seed whose every point violates them (a near hit whose
+    /// bounds tightened past the whole cached frontier) has nothing to
+    /// resume from and is treated as absent.
+    pub fn fits(&self, problem: &MooProblem, tol: f64) -> bool {
+        self.frontier.iter().any(|p| problem.feasible(&p.f, tol))
+    }
+
     /// The seed's Pareto configurations — what MOGD multi-start warms from
     /// (see `MogdConfig::warm_starts`).
     pub fn pareto_configs(&self) -> Vec<Vec<f64>> {
@@ -208,7 +229,10 @@ impl PfState {
         Self { frontier, utopia, nadir, queue, initial_volume, probes }
     }
 
-    fn from_seed(seed: &PfSeed) -> Self {
+    /// Resume from `seed`, keeping only the seed points that satisfy
+    /// `problem`'s value constraints within `tol`: the seed may come from a
+    /// nearby request with looser bounds.
+    fn from_seed(seed: &PfSeed, problem: &MooProblem, tol: f64) -> Self {
         udao_telemetry::counter(names::PF_SEEDED_RUNS).inc();
         let mut queue = RectQueue::new();
         for r in &seed.uncertain {
@@ -220,7 +244,9 @@ impl PfState {
             Rect::new(seed.utopia.clone(), seed.nadir.clone()).volume()
         };
         Self {
-            frontier: pareto_filter(seed.frontier.clone()),
+            frontier: pareto_filter(
+                seed.frontier.iter().filter(|p| problem.feasible(&p.f, tol)).cloned().collect(),
+            ),
             utopia: seed.utopia.clone(),
             nadir: seed.nadir.clone(),
             queue,
@@ -270,8 +296,10 @@ impl ProgressiveFrontier {
 
     /// Like [`ProgressiveFrontier::solve_within`], but optionally resumed
     /// from a [`PfSeed`]: the anchor solves are skipped and probing starts
-    /// from the seed's uncertain rectangles. A seed that fails
-    /// [`PfSeed::usable_for`] is ignored and the run starts cold.
+    /// from the seed's uncertain rectangles. Seed points outside the
+    /// problem's value constraints are dropped; a seed that fails
+    /// [`PfSeed::usable_for`] or keeps no point ([`PfSeed::fits`]) is
+    /// ignored and the run starts cold.
     pub fn solve_seeded_within(
         &self,
         problem: &MooProblem,
@@ -280,7 +308,8 @@ impl ProgressiveFrontier {
         seed: Option<&PfSeed>,
     ) -> Result<PfRun> {
         udao_telemetry::counter(names::PF_RUNS).inc();
-        let seed = seed.filter(|s| s.usable_for(problem.num_objectives()));
+        let tol = self.opts.accept_tol(self.variant);
+        let seed = seed.filter(|s| s.usable_for(problem.num_objectives()) && s.fits(problem, tol));
         let run = match self.variant {
             PfVariant::Sequential => {
                 let solver = ExactGridSolver::new(self.opts.exact_resolution);
@@ -344,7 +373,7 @@ impl ProgressiveFrontier {
     ) -> Result<PfRun> {
         let start = Instant::now();
         let state = match seed {
-            Some(s) => PfState::from_seed(s),
+            Some(s) => PfState::from_seed(s, problem, self.opts.accept_tol(self.variant)),
             None => {
                 let (plans, utopia, nadir) = self.anchors(problem, solver, budget)?;
                 PfState::from_anchors(plans, utopia, nadir)
@@ -442,7 +471,7 @@ impl ProgressiveFrontier {
         };
 
         let state = match seed {
-            Some(s) => PfState::from_seed(s),
+            Some(s) => PfState::from_seed(s, problem, self.opts.accept_tol(self.variant)),
             None => {
                 // Anchor COs in parallel; each solve is panic-isolated so a
                 // poisoned model turns into a typed error, not a dead scope.

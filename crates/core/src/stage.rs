@@ -14,20 +14,13 @@
 //! ordinary [`ParamSpace`], so MOGD, the Progressive Frontier algorithms
 //! and the exact grid solver all work on the composed problem unchanged.
 //! The DAG-ordered coordinate-descent solver lives in `crates/system`
-//! (`StageTuner`), which uses the block views exposed here.
+//! (`udao::stage`), which uses the block views exposed here.
 
 use crate::error::{Error, Result};
 use crate::objective::ObjectiveModel;
 use crate::space::{ParamSpace, ParamSpec};
+use crate::{fnv_fold, FNV_OFFSET};
 use std::sync::Arc;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-#[inline]
-fn fnv_fold(hash: u64, v: u64) -> u64 {
-    (hash ^ v).wrapping_mul(FNV_PRIME)
-}
 
 /// A stage DAG in dependency form: `deps[i]` lists the stages that must
 /// finish before stage `i` starts. Stages are topologically indexed —

@@ -4,7 +4,7 @@
 //! underneath it shifts (data growth, input-rate ramps, cluster changes —
 //! the *online* regime LOCAT and the online-tuning line of work optimize
 //! for). The [`ModelServer`](crate::server::ModelServer) therefore keeps a
-//! rolling window of **relative residuals** per [`ModelKey`]
+//! rolling window of **relative residuals** per [`ModelKey`](crate::server::ModelKey)
 //! (crate::server::ModelKey): every observed `(configuration, outcome)`
 //! pair is compared against the served model's prediction, and when the
 //! windowed mean relative error crosses the configured threshold the

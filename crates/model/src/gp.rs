@@ -297,7 +297,8 @@ impl udao_core::ObjectiveModel for Gp {
 
     /// Batched mean: the fused cross-kernel + Gram product runs per point
     /// against the flat training block with one reused row buffer —
-    /// bitwise identical to scalar [`Gp::predict`] calls, which route
+    /// bitwise identical to scalar
+    /// [`predict`](udao_core::ObjectiveModel::predict) calls, which route
     /// through the same fused kernel.
     fn predict_batch(&self, xs: &[Vec<f64>], out: &mut [f64]) {
         debug_assert_eq!(xs.len(), out.len());

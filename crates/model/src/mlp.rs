@@ -1,10 +1,10 @@
 //! From-scratch multi-layer perceptrons with Adam training, analytic input
 //! gradients, checkpointing, and deep-ensemble uncertainty.
 //!
-//! This substitutes the paper's PyTorch DNN models [38]: the MOGD solver
+//! This substitutes the paper's PyTorch DNN models \[38\]: the MOGD solver
 //! needs `Ψ(x)`, `∇ₓΨ(x)`, and (under uncertainty handling) `std[Ψ(x)]`
 //! with its gradient — all provided here. Ensembles replace the paper's
-//! MC-dropout Bayesian approximation [9]; both produce the
+//! MC-dropout Bayesian approximation \[9\]; both produce the
 //! `E[F(x)] + α·std[F(x)]` interface that MOGD consumes, which is the only
 //! property the optimizer relies on.
 
@@ -346,8 +346,8 @@ impl udao_core::ObjectiveModel for Mlp {
     /// Vectorized forward pass: all points flow through each layer as one
     /// flat `n × width` buffer (ping-pong between two allocations), so the
     /// per-point `Vec` churn of the scalar path disappears. Accumulation
-    /// order matches [`Layer::forward`] exactly, so results are bitwise
-    /// identical to per-point [`Mlp::predict`] calls.
+    /// order matches `Layer::forward` exactly, so results are bitwise
+    /// identical to per-point [`predict`](udao_core::ObjectiveModel::predict) calls.
     fn predict_batch(&self, xs: &[Vec<f64>], out: &mut [f64]) {
         debug_assert_eq!(xs.len(), out.len());
         let n = xs.len();
@@ -408,7 +408,7 @@ impl udao_core::ObjectiveModel for Mlp {
 }
 
 /// Monte-Carlo-dropout wrapper: the paper's cited alternative to deep
-/// ensembles for Bayesian uncertainty in DNNs [9]. At prediction time the
+/// ensembles for Bayesian uncertainty in DNNs \[9\]. At prediction time the
 /// wrapped network is evaluated `samples` times with random Bernoulli
 /// masks over its hidden activations; the sample mean and spread provide
 /// `E[F(x)]` and `std[F(x)]`. Masks are derived deterministically from the
@@ -544,7 +544,7 @@ impl Ensemble {
     }
 
     /// Single-precision batched mean — member means accumulated in f64 in
-    /// the same member order as [`Ensemble::predict_batch`].
+    /// the same member order as the f64 batched path.
     pub fn predict_batch_f32(&self, xs: &[Vec<f64>], out: &mut [f64]) {
         debug_assert_eq!(xs.len(), out.len());
         for o in out.iter_mut() {

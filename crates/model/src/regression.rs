@@ -1,4 +1,4 @@
-//! Hand-crafted analytical performance models (Ernest-style [36]).
+//! Hand-crafted analytical performance models (Ernest-style \[36\]).
 //!
 //! Before learned models are available (or for users who profile their
 //! hardware), UDAO accepts domain-knowledge regression functions: simple

@@ -315,7 +315,7 @@ impl ModelServer {
 
     /// Ingest a batch of traces for `key` and update its model: a full
     /// retrain if the entry is untrained or the pending volume crossed
-    /// [`RETRAIN_THRESHOLD`], an incremental fine-tune otherwise. Training
+    /// `RETRAIN_THRESHOLD`, an incremental fine-tune otherwise. Training
     /// runs on the calling thread with **no registry lock held**; see the
     /// module docs for the snapshot → train → compare-and-publish
     /// protocol.

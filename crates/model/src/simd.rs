@@ -8,7 +8,7 @@
 //!   auto-vectorizes on any target; plain `mul`/`add` rounding;
 //! * **avx2** — explicit `core::arch::x86_64` intrinsics with FMA, selected
 //!   at runtime via `is_x86_feature_detected!` and cached in a
-//!   [`OnceLock`]. Register-blocked micro-kernels (see [`MR`]/`NR` below)
+//!   [`OnceLock`]. Register-blocked micro-kernels (see `MR`/`NR` below)
 //!   keep accumulators in `ymm` registers across the full reduction.
 //!
 //! Setting `UDAO_FORCE_PORTABLE=1` in the environment pins the portable

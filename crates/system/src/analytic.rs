@@ -8,7 +8,7 @@
 //! every Spark workload shares — latency falls roughly hyperbolically with
 //! allocated cores, loads and costs rise with them — and exist solely as
 //! the cold-start rung of the degradation ladder
-//! ([`ResilienceOptions::cold_start_analytic`]
+//! ([`ResilienceOptions::cold_start_analytic`](crate::ResilienceOptions::cold_start_analytic)
 //! (crate::resilience::ResilienceOptions)): a workload-agnostic answer
 //! beats no answer, but it is always flagged degraded.
 

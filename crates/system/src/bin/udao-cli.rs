@@ -38,8 +38,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 use udao::{
-    BatchRequest, Fold, ModelFamily, Priority, ServingEngine, ServingOptions, SolveReport,
-    StageMode, StageObjectiveSpec, StageRequest, Udao,
+    BatchRequest, Fold, ModelFamily, Priority, Recommendation, ServingEngine, ServingOptions,
+    SolveReport, StageMode, StageObjectiveSpec, StageRequest, Udao,
 };
 use udao_core::Error;
 use udao_sparksim::objectives::BatchObjective;
@@ -143,6 +143,132 @@ fn cmd_workloads(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// What `recommend` and `recommend --per-stage` share: the optimizer
+/// (with `--cache`), the request options every request kind carries
+/// (`--weights`, `--budget-ms`, `--priority`, `--deadline-ms`), and the
+/// `--workers` dispatch.
+struct Setup {
+    udao: Arc<Udao>,
+    weights: Option<Vec<f64>>,
+    budget: Option<Duration>,
+    priority: Priority,
+    deadline: Option<Duration>,
+    workers: Option<usize>,
+}
+
+impl Setup {
+    /// Parse the shared flags and build the optimizer; `None` once the
+    /// reason has been printed.
+    fn parse(flags: &HashMap<String, String>) -> Option<Self> {
+        let priority = match flags.get("priority") {
+            Some(name) => match Priority::parse(name) {
+                Some(class) => class,
+                None => {
+                    eprintln!("unknown priority {name} (expected interactive|standard|batch)");
+                    return None;
+                }
+            },
+            None => Priority::Standard,
+        };
+        let mut builder = Udao::builder(ClusterSpec::paper_cluster());
+        if let Some(cap) = flags.get("cache").and_then(|v| v.parse::<usize>().ok()) {
+            builder = builder.frontier_cache(cap);
+        }
+        let udao = match builder.build() {
+            Ok(u) => Arc::new(u),
+            Err(e) => {
+                eprintln!("optimizer construction failed: {e}");
+                return None;
+            }
+        };
+        let millis =
+            |key: &str| flags.get(key).and_then(|v| v.parse().ok()).map(Duration::from_millis);
+        Some(Self {
+            udao,
+            weights: flags
+                .get("weights")
+                .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect()),
+            budget: millis("budget-ms"),
+            priority,
+            deadline: millis("deadline-ms"),
+            workers: flags.get("workers").and_then(|v| v.parse().ok()),
+        })
+    }
+
+    /// Solve directly, or through a [`ServingEngine`] with `--workers`
+    /// workers.
+    fn solve(
+        &self,
+        direct: impl FnOnce(&Udao) -> Result<Recommendation, Error>,
+        served: impl FnOnce(&ServingEngine<BatchObjective>) -> Result<Recommendation, Error>,
+    ) -> Result<Recommendation, Error> {
+        match self.workers {
+            Some(workers) => served(&ServingEngine::start_with(
+                Arc::clone(&self.udao),
+                ServingOptions::default().with_workers(workers),
+            )),
+            None => direct(&self.udao),
+        }
+    }
+}
+
+/// Print a recommendation outcome. On success, under `--json`: one
+/// document of `workload`, the kind's own `fields`, the fields every kind
+/// shares, and the `--report` solve report; otherwise the kind's `text`
+/// and the shared notes. On failure: the error document under `--json`
+/// and a one-line message.
+fn finish(
+    id: &str,
+    flags: &HashMap<String, String>,
+    what: &str,
+    result: Result<Recommendation, Error>,
+    fields: impl FnOnce(&Recommendation) -> serde_json::Value,
+    text: impl FnOnce(&Recommendation),
+) -> ExitCode {
+    let rec = match result {
+        Ok(rec) => rec,
+        Err(e) => {
+            // Under --json downstream parsers still get one complete
+            // document (regression: a shed or bottomed-out request used to
+            // produce no JSON at all).
+            if flags.contains_key("json") {
+                println!("{}", error_value(id, &e, flags.contains_key("report")));
+            }
+            eprintln!("{what} failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if !flags.contains_key("json") {
+        text(&rec);
+        if rec.degraded {
+            println!("note: degraded answer (stage: {})", rec.stage);
+        }
+        if flags.contains_key("report") {
+            println!("{}", rec.report.render());
+        }
+        return ExitCode::SUCCESS;
+    }
+    let shared = serde_json::json!({
+        "predicted": rec.predicted,
+        "frontier_size": rec.frontier.len(),
+        "probes": rec.probes,
+        "moo_seconds": rec.moo_seconds,
+        "degraded": rec.degraded,
+        "stage": rec.stage.to_string(),
+    });
+    let mut out = vec![("workload".to_string(), serde_json::json!(id))];
+    for part in [fields(&rec), shared] {
+        if let serde_json::Value::Object(kv) = part {
+            out.extend(kv);
+        }
+    }
+    if flags.contains_key("report") {
+        out.push(("report".to_string(), rec.report.to_value()));
+    }
+    println!("{}", serde_json::Value::Object(out));
+    ExitCode::SUCCESS
+}
+
 fn cmd_recommend(flags: &HashMap<String, String>) -> ExitCode {
     let Some(id) = flags.get("workload") else {
         eprintln!("recommend requires --workload <id> (see `udao-cli workloads`)");
@@ -177,22 +303,11 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> ExitCode {
             }
         }
     }
-    let weights: Option<Vec<f64>> = flags
-        .get("weights")
-        .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect());
     let constraint = flags.get("constraint").and_then(|s| parse_constraint(s));
-
-    let mut builder = Udao::builder(ClusterSpec::paper_cluster());
-    if let Some(cap) = flags.get("cache").and_then(|v| v.parse::<usize>().ok()) {
-        builder = builder.frontier_cache(cap);
-    }
-    let udao = match builder.build() {
-        Ok(u) => Arc::new(u),
-        Err(e) => {
-            eprintln!("optimizer construction failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(setup) = Setup::parse(flags) else {
+        return ExitCode::FAILURE;
     };
+    let udao = &setup.udao;
     eprintln!("training {family:?} models for {id} from {traces} traces ...");
     udao.train_batch(w, traces, family, &objectives);
 
@@ -205,76 +320,28 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> ExitCode {
             _ => req = req.objective(*o),
         }
     }
-    if let Some(wts) = weights {
-        req = req.weights(wts);
-    }
-    if let Some(ms) = flags.get("budget-ms").and_then(|v| v.parse().ok()) {
-        req = req.budget(Duration::from_millis(ms));
-    }
-    if let Some(name) = flags.get("priority") {
-        match Priority::parse(name) {
-            Some(class) => req = req.priority(class),
-            None => {
-                eprintln!("unknown priority {name} (expected interactive|standard|batch)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(ms) = flags.get("deadline-ms").and_then(|v| v.parse().ok()) {
-        req = req.deadline(Duration::from_millis(ms));
-    }
-    let result = match flags.get("workers").and_then(|v| v.parse::<usize>().ok()) {
-        Some(workers) => {
-            let engine: ServingEngine<BatchObjective> = ServingEngine::start_with(
-                Arc::clone(&udao),
-                ServingOptions::default().with_workers(workers),
+    req.weights = setup.weights.clone();
+    req.budget = setup.budget;
+    req.priority = setup.priority;
+    req.deadline = setup.deadline;
+    let result = setup.solve(|udao| udao.recommend(&req), |engine| engine.solve(req.clone()));
+    finish(
+        id,
+        flags,
+        "recommendation",
+        result,
+        |rec| serde_json::json!({ "configuration": rec.batch_conf }),
+        |rec| {
+            println!("recommended configuration for {id}:");
+            println!("{}", BatchConf::space().render(&rec.configuration));
+            println!("predicted objectives ({}): {:?}", objective_names, rec.predicted);
+            println!(
+                "frontier {} points / {} probes / {:.2}s MOO",
+                rec.frontier.len(),
+                rec.probes,
+                rec.moo_seconds
             );
-            engine.solve(req)
-        }
-        None => udao.recommend_batch(&req),
-    };
-    match result {
-        Ok(rec) => {
-            let Some(conf) = rec.batch_conf.as_ref() else {
-                eprintln!("internal error: batch request produced no batch configuration");
-                return ExitCode::FAILURE;
-            };
-            if flags.contains_key("json") {
-                let mut out = serde_json::json!({
-                    "workload": id,
-                    "configuration": conf,
-                    "predicted": rec.predicted,
-                    "frontier_size": rec.frontier.len(),
-                    "probes": rec.probes,
-                    "moo_seconds": rec.moo_seconds,
-                    "degraded": rec.degraded,
-                    "stage": rec.stage.to_string(),
-                });
-                if flags.contains_key("report") {
-                    if let serde_json::Value::Object(fields) = &mut out {
-                        fields.push(("report".to_string(), rec.report.to_value()));
-                    }
-                }
-                println!("{out}");
-            } else {
-                println!("recommended configuration for {id}:");
-                println!("{}", BatchConf::space().render(&rec.configuration));
-                println!(
-                    "predicted objectives ({}): {:?}",
-                    objective_names, rec.predicted
-                );
-                println!(
-                    "frontier {} points / {} probes / {:.2}s MOO",
-                    rec.frontier.len(),
-                    rec.probes,
-                    rec.moo_seconds
-                );
-                if rec.degraded {
-                    println!("note: degraded answer (stage: {})", rec.stage);
-                }
-                if flags.contains_key("report") {
-                    println!("{}", rec.report.render());
-                }
+            if let Some(conf) = &rec.batch_conf {
                 match udao.measure_batch(w, conf, 0) {
                     Ok(m) => println!(
                         "measured on the simulated cluster: latency {:.1}s, {:.0} cores, {:.4} CPU-h",
@@ -283,52 +350,32 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> ExitCode {
                     Err(e) => eprintln!("measurement failed: {e}"),
                 }
             }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            // Under --json downstream parsers still get one complete
-            // document (regression: a shed or bottomed-out request used to
-            // produce no JSON at all).
-            if flags.contains_key("json") {
-                println!("{}", error_value(id, &e, flags.contains_key("report")));
-            }
-            eprintln!("recommendation failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+        },
+    )
 }
 
 /// The `recommend --per-stage` path: partition the workload's dataflow
 /// DAG into per-stage knob blocks (cluster knobs pinned global), compose
 /// closed-form per-stage latency/cost surfaces along the DAG
-/// (critical-path latency, summed cost), and solve with the
-/// [`StageTuner`](udao::StageTuner) in the requested mode.
+/// (critical-path latency, summed cost), and solve with
+/// [`Udao::recommend_stages`] in the requested mode.
 fn cmd_recommend_stages(id: &str, w: &Workload, flags: &HashMap<String, String>) -> ExitCode {
     let WorkloadPayload::Batch(program) = &w.payload else {
         eprintln!("--per-stage needs a batch workload (streaming queries have no stage DAG)");
         return ExitCode::FAILURE;
     };
     let fx = StageFixture::from_program(program);
-    let mode = match flags.get("stage-mode").map(String::as_str) {
-        Some("joint") => StageMode::Joint,
-        Some("descent") | None => StageMode::Descent,
+    let (mode, mode_name) = match flags.get("stage-mode").map(String::as_str) {
+        Some("joint") => (StageMode::Joint, "joint"),
+        Some("descent") | None => (StageMode::Descent, "descent"),
         Some(other) => {
             eprintln!("unknown stage mode {other} (expected descent|joint)");
             return ExitCode::FAILURE;
         }
     };
     let points: usize = flags.get("points").and_then(|v| v.parse().ok()).unwrap_or(9);
-
-    let mut builder = Udao::builder(ClusterSpec::paper_cluster());
-    if let Some(cap) = flags.get("cache").and_then(|v| v.parse::<usize>().ok()) {
-        builder = builder.frontier_cache(cap);
-    }
-    let udao = match builder.build() {
-        Ok(u) => Arc::new(u),
-        Err(e) => {
-            eprintln!("optimizer construction failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(setup) = Setup::parse(flags) else {
+        return ExitCode::FAILURE;
     };
 
     let mut req = StageRequest::new(id, fx.dag.clone(), fx.space())
@@ -340,129 +387,74 @@ fn cmd_recommend_stages(id: &str, w: &Workload, flags: &HashMap<String, String>)
         .objective(StageObjectiveSpec::analytic("cost", Fold::Sum, fx.cost_models()))
         .points(points)
         .mode(mode);
-    if let Some(wts) = flags
-        .get("weights")
-        .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect::<Vec<f64>>())
-    {
-        req = req.weights(wts);
-    }
-    if let Some(ms) = flags.get("budget-ms").and_then(|v| v.parse().ok()) {
-        req = req.budget(Duration::from_millis(ms));
-    }
-    if let Some(name) = flags.get("priority") {
-        match Priority::parse(name) {
-            Some(class) => req = req.priority(class),
-            None => {
-                eprintln!("unknown priority {name} (expected interactive|standard|batch)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(ms) = flags.get("deadline-ms").and_then(|v| v.parse().ok()) {
-        req = req.deadline(Duration::from_millis(ms));
-    }
-
-    let result = match flags.get("workers").and_then(|v| v.parse::<usize>().ok()) {
-        Some(workers) => {
-            let engine: ServingEngine<BatchObjective> = ServingEngine::start_with(
-                Arc::clone(&udao),
-                ServingOptions::default().with_workers(workers),
-            );
-            engine.solve_stages(req)
-        }
-        None => udao.recommend_stages(&req),
-    };
-    let mode_name = match mode {
-        StageMode::Joint => "joint",
-        StageMode::Descent => "descent",
-    };
-    match result {
-        Ok(rec) => {
-            let global_dim = fx.space().global_dim();
-            let global = rec.x.first().copied().unwrap_or(f64::NAN);
-            if flags.contains_key("json") {
-                let stages: Vec<serde_json::Value> = rec
-                    .report
-                    .stage_attribution
-                    .iter()
-                    .map(|a| {
-                        serde_json::json!({
-                            "stage": a.stage,
-                            "knob": rec.x.get(global_dim + a.stage).copied(),
-                            "predicted": a.predicted,
-                            "seconds": a.seconds,
-                            "solves": a.solves,
-                        })
+    req.weights = setup.weights.clone();
+    req.budget = setup.budget;
+    req.priority = setup.priority;
+    req.deadline = setup.deadline;
+    let result = setup.solve(
+        |udao| udao.recommend_stages(&req),
+        |engine| engine.solve_stages(req.clone()),
+    );
+    let global_dim = fx.space().global_dim();
+    let global = |rec: &Recommendation| rec.x.first().copied().unwrap_or(f64::NAN);
+    finish(
+        id,
+        flags,
+        "per-stage recommendation",
+        result,
+        |rec| {
+            let stages: Vec<serde_json::Value> = rec
+                .report
+                .stage_attribution
+                .iter()
+                .map(|a| {
+                    serde_json::json!({
+                        "stage": a.stage,
+                        "knob": rec.x.get(global_dim + a.stage).copied(),
+                        "predicted": a.predicted,
+                        "seconds": a.seconds,
+                        "solves": a.solves,
                     })
-                    .collect();
-                let mut out = serde_json::json!({
-                    "workload": id,
-                    "mode": mode_name,
-                    "stages_tuned": rec.report.stages_tuned,
-                    "descent_rounds": rec.report.stage_descent_rounds,
-                    "global_cluster_slots": global,
-                    "stages": stages,
-                    "predicted": rec.predicted,
-                    "frontier_size": rec.frontier.len(),
-                    "probes": rec.probes,
-                    "moo_seconds": rec.moo_seconds,
-                    "degraded": rec.degraded,
-                    "stage": rec.stage.to_string(),
-                });
-                if flags.contains_key("report") {
-                    if let serde_json::Value::Object(fields) = &mut out {
-                        fields.push(("report".to_string(), rec.report.to_value()));
-                    }
-                }
-                println!("{out}");
-            } else {
-                println!(
-                    "per-stage recommendation for {id} ({} stages, {mode_name}):",
-                    fx.len()
-                );
-                println!("  cluster-slots (global) = {global:.4}");
-                for a in &rec.report.stage_attribution {
-                    let knob = rec.x.get(global_dim + a.stage).copied().unwrap_or(f64::NAN);
-                    let (lat, cost) = (
-                        a.predicted.first().copied().unwrap_or(f64::NAN),
-                        a.predicted.get(1).copied().unwrap_or(f64::NAN),
-                    );
-                    println!(
-                        "  stage {}: knob {knob:.4}  latency {lat:.3}  cost {cost:.3}  \
-                         ({} block solves, {:.1} ms)",
-                        a.stage,
-                        a.solves,
-                        a.seconds * 1e3,
-                    );
-                }
-                println!(
-                    "composed predicted (critical-path latency, summed cost): {:?}",
-                    rec.predicted
+                })
+                .collect();
+            serde_json::json!({
+                "mode": mode_name,
+                "stages_tuned": rec.report.stages_tuned,
+                "descent_rounds": rec.report.stage_descent_rounds,
+                "global_cluster_slots": global(rec),
+                "stages": stages,
+            })
+        },
+        |rec| {
+            println!("per-stage recommendation for {id} ({} stages, {mode_name}):", fx.len());
+            println!("  cluster-slots (global) = {:.4}", global(rec));
+            for a in &rec.report.stage_attribution {
+                let knob = rec.x.get(global_dim + a.stage).copied().unwrap_or(f64::NAN);
+                let (lat, cost) = (
+                    a.predicted.first().copied().unwrap_or(f64::NAN),
+                    a.predicted.get(1).copied().unwrap_or(f64::NAN),
                 );
                 println!(
-                    "frontier {} points / {} probes / {:.2}s MOO / {} descent rounds",
-                    rec.frontier.len(),
-                    rec.probes,
-                    rec.moo_seconds,
-                    rec.report.stage_descent_rounds,
+                    "  stage {}: knob {knob:.4}  latency {lat:.3}  cost {cost:.3}  \
+                     ({} block solves, {:.1} ms)",
+                    a.stage,
+                    a.solves,
+                    a.seconds * 1e3,
                 );
-                if rec.degraded {
-                    println!("note: degraded answer (stage: {})", rec.stage);
-                }
-                if flags.contains_key("report") {
-                    println!("{}", rec.report.render());
-                }
             }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            if flags.contains_key("json") {
-                println!("{}", error_value(id, &e, flags.contains_key("report")));
-            }
-            eprintln!("per-stage recommendation failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+            println!(
+                "composed predicted (critical-path latency, summed cost): {:?}",
+                rec.predicted
+            );
+            println!(
+                "frontier {} points / {} probes / {:.2}s MOO / {} descent rounds",
+                rec.frontier.len(),
+                rec.probes,
+                rec.moo_seconds,
+                rec.report.stage_descent_rounds,
+            );
+        },
+    )
 }
 
 fn cmd_measure(flags: &HashMap<String, String>) -> ExitCode {

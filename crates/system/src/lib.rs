@@ -31,7 +31,7 @@
 //!     .objective(BatchObjective::Latency)
 //!     .objective(BatchObjective::CostCores)
 //!     .weights(vec![0.9, 0.1]);
-//! let rec = udao.recommend_batch(&request).unwrap();
+//! let rec = udao.recommend(&request).unwrap();
 //! println!("run Q2 with {:?}", rec.batch_conf);
 //! println!("{}", rec.report.render());
 //! ```
@@ -61,6 +61,6 @@ pub use udao_model::Precision;
 pub use request::{BatchRequest, Objective, Request, StreamRequest};
 pub use resilience::{FallbackStage, ModelProvider, ResilienceOptions, RetryPolicy};
 pub use serve::{ClassQuotas, ClassScheduler, ResponseHandle, ServingEngine, ServingOptions};
-pub use stage::{StageMode, StageObjectiveSpec, StageRequest, StageTuner};
+pub use stage::{StageMode, StageObjectiveSpec, StageRequest};
 pub use udao_core::priority::Priority;
 pub use udao_core::stage::{ComposedObjective, Fold, StageDag, StageSpace};

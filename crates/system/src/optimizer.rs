@@ -12,11 +12,9 @@
 //! ([`Udao::recommend`] over [`Objective`]); every solve is instrumented
 //! through `udao-telemetry` and returns its own [`SolveReport`].
 
-use crate::frontier_cache::{
-    CacheLookup, CachedFrontier, FrontierCache, FrontierKey,
-};
-use crate::report::SolveReport;
-use crate::request::{BatchRequest, Objective, Request, StreamRequest};
+use crate::frontier_cache::{CacheLookup, CachedFrontier, FrontierCache, FrontierKey};
+use crate::report::{SolveReport, StageAttribution};
+use crate::request::{Objective, Request};
 use crate::resilience::{absorbable, FallbackStage, ModelProvider, ResilienceOptions};
 use crate::serve::ServingOptions;
 use std::panic::AssertUnwindSafe;
@@ -29,8 +27,8 @@ use udao_core::pareto::ParetoPoint;
 use udao_core::pf::{PfOptions, PfSeed, PfVariant, ProgressiveFrontier};
 use udao_core::recommend::{recommend, Strategy};
 use udao_core::solver::{Bound, CoProblem, CoSolver};
-use udao_core::space::Configuration;
-use udao_core::{Error, MooProblem, Result};
+use udao_core::space::{Configuration, ParamSpace};
+use udao_core::{fnv_fold, Error, MooProblem, Result, FNV_OFFSET};
 use udao_model::dataset::Dataset;
 use udao_model::server::{ModelKey, ModelKind, ModelLease, ModelServer};
 use udao_model::{GpConfig, MlpConfig, Precision};
@@ -46,7 +44,7 @@ use udao_sparksim::{
 use udao_telemetry::names;
 
 /// Which learned model family the model server trains (§V): GPs (the
-/// OtterTune family) or deep ensembles (the UDAO DNN family [38]).
+/// OtterTune family) or deep ensembles (the UDAO DNN family \[38\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelFamily {
     /// Gaussian Processes.
@@ -102,9 +100,9 @@ pub struct Recommendation {
     pub report: SolveReport,
 }
 
-/// The MOO phase output. `pub(crate)` so the per-stage tuner
-/// ([`crate::stage`]) can produce selections through the same report and
-/// snap machinery.
+/// The MOO phase output, produced by every MOO step the request path
+/// ([`Udao::run_request`]) runs: a Progressive Frontier ladder, the per-stage
+/// coordinate descent, a cache hit, or the default configuration.
 pub(crate) struct MooSelection {
     /// The selected configuration point.
     pub(crate) x: Vec<f64>,
@@ -124,23 +122,86 @@ pub(crate) struct MooSelection {
     pub(crate) seed: Option<PfSeed>,
 }
 
-/// What [`Udao::build_problem`] assembles for one request: the encoded
-/// MOO problem, whether any objective degraded to its heuristic prior,
-/// and the `(objective name, pinned model version)` pairs for every
-/// learned objective (0 = heuristic/unversioned).
-type BuiltProblem = (MooProblem, bool, Vec<(String, u64)>);
+impl MooSelection {
+    /// Choose from `frontier` by Weighted Utopia-Nearest under preference
+    /// `weights`, plain Utopia-Nearest without: a clean primary selection
+    /// with no probes, time, or resume state yet.
+    pub(crate) fn choose(
+        frontier: Vec<ParetoPoint>,
+        utopia: Vec<f64>,
+        nadir: Vec<f64>,
+        weights: &Option<Vec<f64>>,
+    ) -> Result<Self> {
+        let strategy = match weights {
+            Some(w) => Strategy::WeightedUtopiaNearest(w.clone()),
+            None => Strategy::UtopiaNearest,
+        };
+        let idx = recommend(&frontier, &utopia, &nadir, &strategy)?;
+        Ok(Self {
+            x: frontier[idx].x.clone(),
+            f: frontier[idx].f.clone(),
+            frontier,
+            utopia,
+            nadir,
+            probes: 0,
+            moo_seconds: 0.0,
+            stage: FallbackStage::Primary,
+            degraded: false,
+            seed: None,
+        })
+    }
 
-/// The solve core's output, before report assembly.
-struct Solved {
-    sel: MooSelection,
-    degraded: bool,
-    snapped: Vec<f64>,
-    predicted: Vec<f64>,
-    configuration: Configuration,
-    /// `(objective name, pinned model version)` per learned objective —
-    /// exactly the versions this solve's problem was built against
-    /// (version 0 = heuristic/unversioned).
-    model_versions: Vec<(String, u64)>,
+    /// A degraded one-point answer from a lower ladder rung.
+    fn point(
+        x: Vec<f64>,
+        f: Vec<f64>,
+        probes: usize,
+        stage: FallbackStage,
+        start: &Instant,
+    ) -> Self {
+        Self {
+            frontier: vec![ParetoPoint::new(x.clone(), f.clone())],
+            x,
+            utopia: f.clone(),
+            nadir: f.clone(),
+            f,
+            probes,
+            moo_seconds: start.elapsed().as_secs_f64(),
+            stage,
+            degraded: true,
+            seed: None,
+        }
+    }
+}
+
+/// A request kind's built problem (every model version pinned for the
+/// whole solve) plus its state for the MOO and post steps.
+pub(crate) struct BuiltProblem<T = ()> {
+    pub(crate) problem: MooProblem,
+    /// Whether any objective degraded to its heuristic prior.
+    pub(crate) degraded: bool,
+    /// `(objective name, pinned version)` per learned objective (0 =
+    /// heuristic/unversioned).
+    pub(crate) versions: Vec<(String, u64)>,
+    pub(crate) state: T,
+}
+
+/// One request as [`Udao::run_request`] sees it: only what differs
+/// between plain and per-stage requests.
+pub(crate) struct Job<'a> {
+    pub(crate) workload_id: &'a str,
+    pub(crate) objectives: Vec<&'a str>,
+    pub(crate) constraints: &'a [Option<(f64, f64)>],
+    pub(crate) points: usize,
+    /// The flat knob space the answer snaps onto and decodes from.
+    pub(crate) space: &'a ParamSpace,
+    pub(crate) weights: &'a Option<Vec<f64>>,
+    /// Frontier-cache shape: 0 for plain requests.
+    pub(crate) shape: u64,
+    /// Whether a near cache hit may warm-start the MOO step.
+    pub(crate) warm_near: bool,
+    /// The point the default-configuration rung tries first.
+    pub(crate) default_x: Option<Vec<f64>>,
 }
 
 /// Run `f` isolating panics into [`Error::WorkerPanicked`], so a poisoned
@@ -611,15 +672,12 @@ impl Udao {
     }
 
     /// Build the MOO problem for a request from the model server's current
-    /// models (analytic objectives are served exactly, without lookup);
-    /// see [`BuiltProblem`] for the shape of the result.
+    /// models (analytic objectives are served exactly, without lookup).
     /// Each learned objective's model version is **pinned here, once, for
     /// the whole solve** — the lease's `Arc` keeps those exact weights
     /// alive through any number of concurrent hot-swaps, and the problem's
     /// generation stamp (folded from the pinned versions) keys the MOGD
-    /// memo cache to them. The flag reports whether any objective degraded
-    /// to a heuristic; the version list records `(objective, version)` per
-    /// learned objective (0 = heuristic/unversioned).
+    /// memo cache to them.
     fn build_problem<O: Objective>(
         &self,
         request: &Request<O>,
@@ -632,7 +690,7 @@ impl Udao {
         // FNV-1a fold of the pinned versions: any swap between two builds
         // changes the stamp, so memoized evaluations never cross versions
         // even if the allocator reuses a retired model's address.
-        let mut generation: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut generation = FNV_OFFSET;
         for obj in &request.objectives {
             if let Some(analytic) = obj.analytic_model() {
                 models.push(analytic);
@@ -651,7 +709,7 @@ impl Udao {
                 }
             };
             versions.push((Objective::name(obj).to_string(), version));
-            generation = (generation ^ version).wrapping_mul(0x100_0000_01b3);
+            generation = fnv_fold(generation, version);
         }
         let constraints = request
             .constraints
@@ -661,22 +719,12 @@ impl Udao {
         let problem = MooProblem::new(space.encoded_dim(), models)
             .with_constraints(constraints)
             .with_generation(generation);
-        Ok((problem, degraded, versions))
+        Ok(BuiltProblem { problem, degraded, versions, state: () })
     }
 
     /// Build the MOO problem for a request (unlimited budget).
     pub fn problem<O: Objective>(&self, request: &Request<O>) -> Result<MooProblem> {
-        self.build_problem(request, &Budget::unlimited()).map(|(p, _, _)| p)
-    }
-
-    /// Build the MOO problem for a batch request (unlimited budget).
-    pub fn batch_problem(&self, request: &BatchRequest) -> Result<MooProblem> {
-        self.problem(request)
-    }
-
-    /// Build the MOO problem for a streaming request (unlimited budget).
-    pub fn stream_problem(&self, request: &StreamRequest) -> Result<MooProblem> {
-        self.problem(request)
+        self.build_problem(request, &Budget::unlimited()).map(|built| built.problem)
     }
 
     /// Run one Progressive Frontier `rung` — its solver variant paired with
@@ -703,24 +751,15 @@ impl Udao {
             ProgressiveFrontier::new(variant, options)
                 .solve_seeded_within(problem, points, budget, seed)
         })?;
-        let strategy = match weights {
-            Some(w) => Strategy::WeightedUtopiaNearest(w.clone()),
-            None => Strategy::UtopiaNearest,
-        };
-        let idx = recommend(&run.frontier, &run.utopia, &run.nadir, &strategy)?;
         let exported = run.seed();
+        let sel = MooSelection::choose(run.frontier, run.utopia, run.nadir, weights)?;
+        // `moo_seconds` is stamped by `run_moo_and_select` once a rung succeeds.
         Ok(MooSelection {
-            x: run.frontier[idx].x.clone(),
-            f: run.frontier[idx].f.clone(),
-            frontier: run.frontier,
-            utopia: run.utopia,
-            nadir: run.nadir,
             probes: run.probes,
-            // Stamped by `run_moo_and_select` once a rung succeeds.
-            moo_seconds: 0.0,
             stage,
             degraded: run.degraded || stage != FallbackStage::Primary,
             seed: Some(exported),
+            ..sel
         })
     }
 
@@ -729,29 +768,16 @@ impl Udao {
     /// weighted Utopia-nearest selection re-run — so differing preference
     /// weights still share one cached entry. Reports zero probes: no CO
     /// solve ran for this request.
-    pub(crate) fn select_from_cache(
+    fn select_from_cache(
         entry: &CachedFrontier,
         weights: &Option<Vec<f64>>,
         started: &Instant,
     ) -> Result<MooSelection> {
-        let strategy = match weights {
-            Some(w) => Strategy::WeightedUtopiaNearest(w.clone()),
-            None => Strategy::UtopiaNearest,
-        };
         let seed = &entry.seed;
-        let idx = recommend(&seed.frontier, &seed.utopia, &seed.nadir, &strategy)?;
-        Ok(MooSelection {
-            x: seed.frontier[idx].x.clone(),
-            f: seed.frontier[idx].f.clone(),
-            frontier: seed.frontier.clone(),
-            utopia: seed.utopia.clone(),
-            nadir: seed.nadir.clone(),
-            probes: 0,
-            moo_seconds: started.elapsed().as_secs_f64(),
-            stage: FallbackStage::Primary,
-            degraded: false,
-            seed: None,
-        })
+        let (frontier, utopia, nadir) =
+            (seed.frontier.clone(), seed.utopia.clone(), seed.nadir.clone());
+        let sel = MooSelection::choose(frontier, utopia, nadir, weights)?;
+        Ok(MooSelection { moo_seconds: started.elapsed().as_secs_f64(), ..sel })
     }
 
     /// The MOO phase under the degradation ladder: the configured PF
@@ -830,22 +856,11 @@ impl Udao {
                 budget,
             )
         });
-        match solo {
-            Ok(Some(sol)) => Ok(MooSelection {
-                x: sol.x.clone(),
-                f: sol.f.clone(),
-                frontier: vec![ParetoPoint::new(sol.x, sol.f.clone())],
-                utopia: sol.f.clone(),
-                nadir: sol.f,
-                probes: 1,
-                moo_seconds: start.elapsed().as_secs_f64(),
-                stage: FallbackStage::SingleObjective,
-                degraded: true,
-                seed: None,
-            }),
-            Ok(None) => Err(last_err),
-            Err(e) if absorbable(&e) => Err(e),
-            Err(e) => Err(e),
+        match solo? {
+            Some(sol) => {
+                Ok(MooSelection::point(sol.x, sol.f, 1, FallbackStage::SingleObjective, &start))
+            }
+            None => Err(last_err),
         }
     }
 
@@ -864,7 +879,7 @@ impl Udao {
     /// snapped configuration stays feasible is used instead.
     fn snap_feasible(
         problem: &MooProblem,
-        space: &udao_core::space::ParamSpace,
+        space: &ParamSpace,
         chosen_x: &[f64],
         frontier: &[ParetoPoint],
     ) -> Result<(Vec<f64>, Vec<f64>)> {
@@ -899,9 +914,9 @@ impl Udao {
     /// poison; retry a few times (each evaluation re-rolls the fault
     /// sequence), then degrade to the raw snap with the selection's own
     /// (finite, solver-vetted) predictions.
-    pub(crate) fn snap_resilient(
+    fn snap_resilient(
         problem: &MooProblem,
-        space: &udao_core::space::ParamSpace,
+        space: &ParamSpace,
         sel: &MooSelection,
         degraded: &mut bool,
     ) -> Result<(Vec<f64>, Vec<f64>)> {
@@ -923,12 +938,12 @@ impl Udao {
     /// configuration with best-effort predictions. Never consults a solver.
     /// Panicking or poisoned evaluations are retried (each call re-rolls
     /// injected faults); candidate points that stay unusable are skipped.
-    pub(crate) fn default_recommendation(
+    fn default_recommendation(
         problem: &MooProblem,
-        space: &udao_core::space::ParamSpace,
+        space: &ParamSpace,
         default_x: Option<Vec<f64>>,
         started: &Instant,
-    ) -> Result<(Vec<f64>, Vec<f64>, MooSelection)> {
+    ) -> Result<MooSelection> {
         udao_telemetry::counter(&names::fallback_stage(&FallbackStage::DefaultConfig)).inc();
         let dim = space.encoded_dim();
         let mut candidates: Vec<Vec<f64>> = Vec::new();
@@ -955,19 +970,8 @@ impl Udao {
             for _ in 0..4 {
                 match guard(|| problem.evaluate(&snapped)) {
                     Ok(f) if f.iter().all(|v| v.is_finite()) => {
-                        let sel = MooSelection {
-                            x: snapped.clone(),
-                            f: f.clone(),
-                            frontier: vec![ParetoPoint::new(snapped.clone(), f.clone())],
-                            utopia: f.clone(),
-                            nadir: f.clone(),
-                            probes: 0,
-                            moo_seconds: started.elapsed().as_secs_f64(),
-                            stage: FallbackStage::DefaultConfig,
-                            degraded: true,
-                            seed: None,
-                        };
-                        return Ok((snapped, f, sel));
+                        let stage = FallbackStage::DefaultConfig;
+                        return Ok(MooSelection::point(snapped, f, 0, stage, started));
                     }
                     Ok(_) | Err(_) => continue,
                 }
@@ -997,65 +1001,7 @@ impl Udao {
         request: &Request<O>,
         budget: Budget,
     ) -> Result<Recommendation> {
-        if request.objectives.is_empty() {
-            return Err(Error::InvalidConfig("request has no objectives".into()));
-        }
-        // Per-request accounting: every global-registry increment made
-        // while this scope is active (including on PF-AP worker threads,
-        // which re-enter it) is mirrored into the private registry, so the
-        // report stays exact with other requests in flight.
-        let scope = Arc::new(udao_telemetry::MetricsRegistry::new());
-        let started = Instant::now();
-        let (solved, total_seconds) = {
-            let _scope_guard = udao_telemetry::enter_scope(scope.clone());
-            let solved = self.solve_request(request, &started, &budget)?;
-            if solved.degraded {
-                udao_telemetry::counter(names::DEGRADED_RESULTS).inc();
-            }
-            let total_seconds = started.elapsed().as_secs_f64();
-            (solved, total_seconds)
-        };
-        let mut report = SolveReport::from_delta(
-            request.workload_id.clone(),
-            solved.sel.stage,
-            solved.degraded,
-            total_seconds,
-            scope.snapshot(),
-        );
-        report.model_versions = solved.model_versions.clone();
-        let (batch_conf, stream_conf) = O::typed_confs(&solved.configuration);
-        Ok(Recommendation {
-            batch_conf,
-            stream_conf,
-            x: solved.snapped,
-            configuration: solved.configuration,
-            predicted: solved.predicted,
-            frontier: solved.sel.frontier,
-            utopia: solved.sel.utopia,
-            nadir: solved.sel.nadir,
-            probes: solved.sel.probes,
-            moo_seconds: solved.sel.moo_seconds,
-            degraded: solved.degraded,
-            stage: solved.sel.stage,
-            report,
-        })
-    }
-
-    /// The shared solve core behind batch and streaming recommendation.
-    /// All telemetry spans open and close inside this function, so the
-    /// caller's delta snapshot sees complete stage histograms.
-    fn solve_request<O: Objective>(
-        &self,
-        request: &Request<O>,
-        started: &Instant,
-        budget: &Budget,
-    ) -> Result<Solved> {
-        let _request_span = udao_telemetry::span("recommend");
-        let budget = *budget;
-        let (problem, mut degraded, model_versions) = {
-            let _models_span = udao_telemetry::span("models");
-            self.build_problem(request, &budget)?
-        };
+        let space = O::space();
         // Workload-aware WUN: compose the class's internal expert weights
         // with the external application weights (2-objective case, §V).
         let weights = match (&request.workload_class, &request.weights) {
@@ -1066,19 +1012,73 @@ impl Udao {
             }
             _ => request.weights.clone(),
         };
-        let space = O::space();
+        let job = Job {
+            workload_id: &request.workload_id,
+            objectives: request.objectives.iter().map(Objective::name).collect(),
+            constraints: &request.constraints,
+            points: request.points,
+            space: &space,
+            weights: &weights,
+            shape: 0,
+            warm_near: true,
+            default_x: space.encode(&O::default_configuration()).ok(),
+        };
+        let mut rec = self.run_request(
+            job,
+            budget,
+            |budget| self.build_problem(request, budget),
+            |problem, _, seed| {
+                self.run_moo_and_select(problem, request.points, &weights, &budget, seed)
+            },
+            |_, _| Vec::new(),
+        )?;
+        (rec.batch_conf, rec.stream_conf) = O::typed_confs(&rec.configuration);
+        Ok(rec)
+    }
+
+    /// The one request path behind plain and per-stage solves: models →
+    /// (cached | MOO step | default configuration) → snap → report. A
+    /// request kind supplies its [`Job`] and three steps: `build` (the
+    /// version-pinned problem), `moo` (a selection, warm-started by a near
+    /// hit's seed when the job allows it), and `post` (run after the snap
+    /// on the kind's state and the snapped point). Caching, fallback,
+    /// snapping, telemetry and report assembly are written once, here.
+    pub(crate) fn run_request<T>(
+        &self,
+        job: Job<'_>,
+        budget: Budget,
+        build: impl FnOnce(&Budget) -> Result<BuiltProblem<T>>,
+        moo: impl FnOnce(&MooProblem, &mut T, Option<&PfSeed>) -> Result<MooSelection>,
+        post: impl FnOnce(T, &[f64]) -> Vec<StageAttribution>,
+    ) -> Result<Recommendation> {
+        if job.objectives.is_empty() {
+            return Err(Error::InvalidConfig("request has no objectives".into()));
+        }
+        // Per-request accounting: every global-registry increment made
+        // while this scope is active (including on PF-AP worker threads,
+        // which re-enter it) is mirrored into the private registry, so the
+        // report stays exact with other requests in flight. Every span
+        // closes before the snapshot, so it sees complete histograms.
+        let scope = Arc::new(udao_telemetry::MetricsRegistry::new());
+        let started = Instant::now();
+        let scope_guard = udao_telemetry::enter_scope(scope.clone());
+        let request_span = udao_telemetry::span("recommend");
+        let BuiltProblem { problem, mut degraded, versions, mut state } = {
+            let _models_span = udao_telemetry::span("models");
+            build(&budget)?
+        };
         // Frontier-cache lookup (opt-in): the key pins the exact model
-        // versions this solve's problem was built against, so an entry
-        // solved under retired weights can never match.
+        // versions the problem was built against and the request's shape,
+        // so an entry solved under retired weights, or for a differently
+        // shaped request, can never match.
         let cache_slot = self.frontier_cache.as_ref().map(|cache| {
-            let objective_names: Vec<&str> =
-                request.objectives.iter().map(Objective::name).collect();
-            let (key, fingerprint) = FrontierKey::for_request(
-                &request.workload_id,
-                &objective_names,
-                &request.constraints,
-                request.points,
-                &model_versions,
+            let (key, fingerprint) = FrontierKey::for_request_shaped(
+                job.workload_id,
+                &job.objectives,
+                job.constraints,
+                job.points,
+                &versions,
+                job.shape,
             );
             (cache, key, fingerprint)
         });
@@ -1086,9 +1086,10 @@ impl Udao {
         let mut warm_seed: Option<Arc<CachedFrontier>> = None;
         if let Some((cache, key, fingerprint)) = &cache_slot {
             let k = problem.num_objectives();
+            let tol = self.pf_options.accept_tol(self.pf_variant);
             match cache.lookup(key, fingerprint) {
                 CacheLookup::Exact(entry) if entry.seed.usable_for(k) => {
-                    match Self::select_from_cache(&entry, &weights, started) {
+                    match Self::select_from_cache(&entry, job.weights, &started) {
                         Ok(sel) => {
                             udao_telemetry::counter(names::CACHE_SERVED).inc();
                             cached_sel = Some(sel);
@@ -1098,7 +1099,13 @@ impl Udao {
                         Err(_) => udao_telemetry::counter(names::CACHE_MISSES).inc(),
                     }
                 }
-                CacheLookup::Near(entry) if entry.seed.usable_for(k) => {
+                // A near entry warm-starts only when the job allows it and
+                // some cached point survives this request's own bounds.
+                CacheLookup::Near(entry)
+                    if job.warm_near
+                        && entry.seed.usable_for(k)
+                        && entry.seed.fits(&problem, tol) =>
+                {
                     udao_telemetry::counter(names::CACHE_WARM_STARTS).inc();
                     warm_seed = Some(entry);
                 }
@@ -1108,24 +1115,17 @@ impl Udao {
         let from_cache = cached_sel.is_some();
         let mut sel = {
             let _moo_span = udao_telemetry::span("moo");
-            if let Some(sel) = cached_sel {
-                sel
-            } else {
-                let seed = warm_seed.as_ref().map(|entry| &entry.seed);
-                match self.run_moo_and_select(&problem, request.points, &weights, &budget, seed) {
+            match cached_sel {
+                Some(sel) => sel,
+                None => match moo(&problem, &mut state, warm_seed.as_ref().map(|e| &e.seed)) {
                     Ok(sel) => sel,
                     Err(e) if absorbable(&e) => {
-                        eprintln!(
-                            "udao: all solver rungs failed ({e}); serving default configuration"
-                        );
+                        eprintln!("udao: solve failed ({e}); serving default configuration");
                         udao_telemetry::counter(names::FALLBACK_TRANSITIONS).inc();
-                        let default_x = space.encode(&O::default_configuration()).ok();
-                        let (_, _, sel) =
-                            Self::default_recommendation(&problem, &space, default_x, started)?;
-                        sel
+                        Self::default_recommendation(&problem, job.space, job.default_x, &started)?
                     }
                     Err(e) => return Err(e),
-                }
+                },
             }
         };
         // Insert-on-success: only clean primary solves are worth reusing.
@@ -1141,20 +1141,40 @@ impl Udao {
         degraded |= sel.degraded;
         let (snapped, predicted) = {
             let _snap_span = udao_telemetry::span("snap");
-            Self::snap_resilient(&problem, &space, &sel, &mut degraded)?
+            Self::snap_resilient(&problem, job.space, &sel, &mut degraded)?
         };
-        let configuration = space.decode(&snapped)?;
-        Ok(Solved { sel, degraded, snapped, predicted, configuration, model_versions })
-    }
-
-    /// Handle a batch request end-to-end; see [`Udao::recommend`].
-    pub fn recommend_batch(&self, request: &BatchRequest) -> Result<Recommendation> {
-        self.recommend(request)
-    }
-
-    /// Handle a streaming request end-to-end; see [`Udao::recommend`].
-    pub fn recommend_streaming(&self, request: &StreamRequest) -> Result<Recommendation> {
-        self.recommend(request)
+        let configuration = job.space.decode(&snapped)?;
+        let attribution = post(state, &snapped);
+        drop(request_span);
+        if degraded {
+            udao_telemetry::counter(names::DEGRADED_RESULTS).inc();
+        }
+        let total_seconds = started.elapsed().as_secs_f64();
+        drop(scope_guard);
+        let mut report = SolveReport::from_delta(
+            job.workload_id,
+            sel.stage,
+            degraded,
+            total_seconds,
+            scope.snapshot(),
+        );
+        report.model_versions = versions;
+        report.stage_attribution = attribution;
+        Ok(Recommendation {
+            batch_conf: None,
+            stream_conf: None,
+            x: snapped,
+            configuration,
+            predicted,
+            frontier: sel.frontier,
+            utopia: sel.utopia,
+            nadir: sel.nadir,
+            probes: sel.probes,
+            moo_seconds: sel.moo_seconds,
+            degraded,
+            stage: sel.stage,
+            report,
+        })
     }
 
     /// Execute a batch workload under `conf` on the (simulated) cluster —
@@ -1188,6 +1208,7 @@ impl Udao {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::{BatchRequest, StreamRequest};
     use udao_sparksim::{batch_workloads, streaming_workloads};
 
     fn quick_pf() -> (PfVariant, PfOptions) {
@@ -1223,7 +1244,7 @@ mod tests {
             .objective(BatchObjective::CostCores)
             .weights(vec![0.5, 0.5])
             .points(8);
-        let rec = udao.recommend_batch(&req).unwrap();
+        let rec = udao.recommend(&req).unwrap();
         let conf = rec.batch_conf.as_ref().unwrap();
         assert!(conf.total_cores() >= 2);
         assert!(rec.frontier.len() >= 2, "frontier {}", rec.frontier.len());
@@ -1241,14 +1262,14 @@ mod tests {
     fn missing_model_is_a_clear_error() {
         let udao = Udao::new(ClusterSpec::paper_cluster());
         let req = BatchRequest::new("q1-v0").objective(BatchObjective::Latency);
-        let err = udao.recommend_batch(&req).unwrap_err();
+        let err = udao.recommend(&req).unwrap_err();
         assert!(err.to_string().contains("no trained model"), "{err}");
     }
 
     #[test]
     fn empty_request_is_rejected() {
         let udao = Udao::new(ClusterSpec::paper_cluster());
-        assert!(udao.recommend_batch(&BatchRequest::new("q1-v0")).is_err());
+        assert!(udao.recommend(&BatchRequest::new("q1-v0")).is_err());
     }
 
     #[test]
@@ -1325,7 +1346,7 @@ mod tests {
             .points(5);
         // Solo run: the deterministic per-request baseline (unlimited
         // budget, seeded solver).
-        let solo = udao.recommend_batch(&req).unwrap().report;
+        let solo = udao.recommend(&req).unwrap().report;
         assert!(solo.mogd_iterations > 0);
         assert!(solo.model_inferences > 0);
         assert!(solo.model_batch_calls > 0);
@@ -1334,8 +1355,8 @@ mod tests {
         // other's counters (the old global-delta extraction attributed both
         // requests' work to both reports).
         let (a, b) = std::thread::scope(|s| {
-            let a = s.spawn(|| udao.recommend_batch(&req).unwrap().report);
-            let b = s.spawn(|| udao.recommend_batch(&req).unwrap().report);
+            let a = s.spawn(|| udao.recommend(&req).unwrap().report);
+            let b = s.spawn(|| udao.recommend(&req).unwrap().report);
             (a.join().unwrap(), b.join().unwrap())
         });
         for r in [&a, &b] {
@@ -1360,10 +1381,10 @@ mod tests {
             .objective(BatchObjective::CostCores)
             .points(10);
         let lat_pref = udao
-            .recommend_batch(&base.clone().weights(vec![0.9, 0.1]))
+            .recommend(&base.clone().weights(vec![0.9, 0.1]))
             .unwrap();
         let cost_pref = udao
-            .recommend_batch(&base.weights(vec![0.1, 0.9]))
+            .recommend(&base.weights(vec![0.1, 0.9]))
             .unwrap();
         // Favoring latency should never pick a higher-latency point than
         // favoring cost.
@@ -1392,10 +1413,10 @@ mod tests {
             .weights(vec![0.5, 0.5])
             .points(10);
         let long = udao
-            .recommend_batch(&base.clone().workload_aware(WorkloadClass::High))
+            .recommend(&base.clone().workload_aware(WorkloadClass::High))
             .unwrap();
         let short = udao
-            .recommend_batch(&base.workload_aware(WorkloadClass::Low))
+            .recommend(&base.workload_aware(WorkloadClass::Low))
             .unwrap();
         // Snap-time feasibility fallback can swap adjacent frontier points,
         // so allow a small relative tolerance on the ordering.
@@ -1465,7 +1486,7 @@ mod tests {
             .objective(StreamObjective::Latency)
             .objective(StreamObjective::Throughput)
             .points(8);
-        let rec = udao.recommend_streaming(&req).unwrap();
+        let rec = udao.recommend(&req).unwrap();
         let conf = rec.stream_conf.as_ref().unwrap();
         assert!(rec.report.mogd_iterations > 0);
         let m = udao.measure_streaming(s1, conf, 1).expect("simulatable workload");

@@ -65,8 +65,8 @@ impl Udao {
                     "pipeline stages need latency and cost objectives".into(),
                 ));
             }
-            let problem = self.batch_problem(stage)?;
-            let rec = self.recommend_batch(stage)?;
+            let problem = self.problem(stage)?;
+            let rec = self.recommend(stage)?;
             let mut options: Vec<Option2D> = Vec::new();
             for (i, p) in rec.frontier.iter().enumerate() {
                 let snapped = space.snap(&p.x)?;

@@ -57,11 +57,10 @@
 //! `serve.admitted.<class>`, `serve.completed`, and `serve.seconds`
 //! (admission → response).
 
-use crate::optimizer::{Recommendation, Udao};
+use crate::optimizer::{guard, Recommendation, Udao};
 use crate::request::{Objective, Request};
 use crate::stage::StageRequest;
 use std::collections::VecDeque;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -703,19 +702,9 @@ fn serve_job<O: Objective>(shared: &Arc<Shared<O>>, job: Job<O>) {
     }
     udao_telemetry::histogram(names::SERVE_QUEUE_WAIT_SECONDS)
         .record(queue_wait.as_secs_f64());
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| match &job.work {
+    let result = guard(|| match &job.work {
         Work::Plain(request) => shared.udao.recommend_within(request, job.budget),
         Work::Stages(request) => shared.udao.recommend_stages_within(request, job.budget),
-    }));
-    let result = outcome.unwrap_or_else(|payload| {
-        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "opaque panic payload".to_string()
-        };
-        Err(Error::WorkerPanicked(msg))
     });
     // Stamp the scheduler's decisions into the per-request report.
     let result = result.map(|mut rec| {

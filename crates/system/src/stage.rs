@@ -1,4 +1,4 @@
-//! Per-stage fine-grained tuning over a stage DAG: the [`StageTuner`].
+//! Per-stage fine-grained tuning over a stage DAG ([`Udao::recommend_stages`]).
 //!
 //! The paper tunes one configuration per workload; "A Spark Optimizer for
 //! Adaptive, Fine-Grained Parameter Tuning" (Lyu et al.) shows the same
@@ -37,10 +37,8 @@
 //! (`report.stage_attribution`): block wall-clock, block solves, and the
 //! per-stage predicted objective values at the recommendation.
 
-use crate::frontier_cache::{CacheLookup, CachedFrontier, FrontierKey};
-use crate::optimizer::{guard, MooSelection, Recommendation, Udao};
-use crate::report::{SolveReport, StageAttribution};
-use crate::resilience::{absorbable, FallbackStage};
+use crate::optimizer::{guard, BuiltProblem, Job, MooSelection, Recommendation, Udao};
+use crate::report::StageAttribution;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,10 +48,9 @@ use udao_core::objective::{FnModel, ObjectiveModel};
 use udao_core::pareto::{pareto_filter, utopia_nadir, ParetoPoint};
 use udao_core::pf::PfSeed;
 use udao_core::priority::Priority;
-use udao_core::recommend::{recommend, Strategy};
 use udao_core::solver::{Bound, CoProblem, CoSolver, ExactGridSolver};
 use udao_core::stage::{ComposedObjective, Fold, StageDag, StageSpace};
-use udao_core::{Error, MooProblem, Result};
+use udao_core::{fnv_fold, Error, MooProblem, Result, FNV_OFFSET};
 use udao_model::server::ModelKey;
 use udao_telemetry::names;
 
@@ -224,26 +221,19 @@ impl StageRequest {
 
     /// The structural shape fingerprint of this request: DAG shape, block
     /// dimensions, solve mode, and per-objective folds. Extended into
-    /// [`FrontierKey`]s so a cached frontier can never serve a
-    /// differently-shaped DAG (plain workload-level requests use shape 0).
+    /// [`FrontierKey`](crate::FrontierKey)s so a cached frontier can never
+    /// serve a differently-shaped DAG (plain workload-level requests use
+    /// shape 0).
     pub fn shape_fingerprint(&self) -> u64 {
-        let mut h = fnv(FNV_OFFSET, self.dag.fingerprint());
-        h = fnv(h, self.space.fingerprint());
-        h = fnv(h, self.mode.tag());
+        let mut h = fnv_fold(FNV_OFFSET, self.dag.fingerprint());
+        h = fnv_fold(h, self.space.fingerprint());
+        h = fnv_fold(h, self.mode.tag());
         for spec in &self.objectives {
-            h = fnv(h, spec.fold.tag());
+            h = fnv_fold(h, spec.fold.tag());
         }
         // Shape 0 is reserved for plain requests.
         h.max(1)
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-#[inline]
-fn fnv(hash: u64, v: u64) -> u64 {
-    (hash ^ v).wrapping_mul(FNV_PRIME)
 }
 
 /// Coordinate-descent rounds per scalarization weight: each round solves
@@ -261,11 +251,6 @@ const LEX_WEIGHT: f64 = 1e6;
 
 /// Scalarization of an objective vector, shared across block subproblems.
 type Scalarization = Arc<dyn Fn(&[f64]) -> f64 + Send + Sync>;
-
-/// Assembled per-stage problem: the composed MOO problem, one composed
-/// objective per request objective, and the pinned `(stage{i}/name,
-/// version)` entries for learned models.
-type BuiltProblem = (MooProblem, Vec<Arc<ComposedObjective>>, Vec<(String, u64)>);
 
 /// Per-solve descent accounting, folded into telemetry and the report's
 /// [`StageAttribution`].
@@ -286,19 +271,15 @@ impl DescentWork {
     }
 }
 
-/// The per-stage tuning solver over a [`Udao`] optimizer; obtained from
-/// [`Udao::stage_tuner`], driven by [`Udao::recommend_stages`].
-pub struct StageTuner<'a> {
-    udao: &'a Udao,
+/// A per-stage request's state between the request path's steps: the
+/// composed objectives (read by the per-stage attribution) and the
+/// descent accounting.
+struct StageState {
+    composed: Vec<Arc<ComposedObjective>>,
+    work: DescentWork,
 }
 
 impl Udao {
-    /// The per-stage tuner over this optimizer's models, solver options,
-    /// and frontier cache.
-    pub fn stage_tuner(&self) -> StageTuner<'_> {
-        StageTuner { udao: self }
-    }
-
     /// Handle a per-stage request end-to-end; the stage-space analogue of
     /// [`Udao::recommend`]. See [`crate::stage`] for the request model and
     /// solve modes.
@@ -309,203 +290,78 @@ impl Udao {
     }
 
     /// Like [`Udao::recommend_stages`], under an externally started
-    /// [`Budget`] (serving engines start it at admission).
+    /// [`Budget`] (serving engines start it at admission). Runs through the
+    /// same request path as plain requests; only the problem, the MOO
+    /// step, and the per-stage attribution differ.
     pub fn recommend_stages_within(
         &self,
         request: &StageRequest,
         budget: Budget,
     ) -> Result<Recommendation> {
-        self.stage_tuner().solve_within(request, budget)
-    }
-}
-
-impl StageTuner<'_> {
-    /// Solve `request` under its own (or the optimizer's default) budget.
-    pub fn solve(&self, request: &StageRequest) -> Result<Recommendation> {
-        self.udao.recommend_stages(request)
-    }
-
-    /// Solve `request` under an externally started budget.
-    pub fn solve_within(&self, request: &StageRequest, budget: Budget) -> Result<Recommendation> {
         validate(request)?;
-        let scope = Arc::new(udao_telemetry::MetricsRegistry::new());
         let started = Instant::now();
-        let (solved, total_seconds) = {
-            let _scope_guard = udao_telemetry::enter_scope(scope.clone());
-            let solved = self.solve_request(request, &started, &budget)?;
-            if solved.degraded {
-                udao_telemetry::counter(names::DEGRADED_RESULTS).inc();
-            }
-            let total_seconds = started.elapsed().as_secs_f64();
-            udao_telemetry::histogram(names::STAGE_SOLVE_SECONDS).record(total_seconds);
-            (solved, total_seconds)
-        };
-        let mut report = SolveReport::from_delta(
-            request.workload_id.clone(),
-            solved.sel.stage,
-            solved.degraded,
-            total_seconds,
-            scope.snapshot(),
-        );
-        report.model_versions = solved.model_versions.clone();
-        report.stage_attribution = solved.attribution;
-        let configuration = request.space.flat().decode(&solved.snapped)?;
-        Ok(Recommendation {
-            batch_conf: None,
-            stream_conf: None,
-            x: solved.snapped,
-            configuration,
-            predicted: solved.predicted,
-            frontier: solved.sel.frontier,
-            utopia: solved.sel.utopia,
-            nadir: solved.sel.nadir,
-            probes: solved.sel.probes,
-            moo_seconds: solved.sel.moo_seconds,
-            degraded: solved.degraded,
-            stage: solved.sel.stage,
-            report,
-        })
-    }
-
-    /// The solve core: composed problem → (cached | joint | decomposed)
-    /// selection → snap. All telemetry spans open and close in here so the
-    /// caller's scope snapshot sees complete histograms.
-    fn solve_request(
-        &self,
-        request: &StageRequest,
-        started: &Instant,
-        budget: &Budget,
-    ) -> Result<StageSolved> {
-        let _request_span = udao_telemetry::span("recommend");
-        let udao = self.udao;
         let n_stages = request.dag.len();
-        let (problem, composed, model_versions) = {
-            let _models_span = udao_telemetry::span("models");
-            self.build_problem(request, budget)?
+        let job = Job {
+            workload_id: &request.workload_id,
+            objectives: request.objectives.iter().map(|s| s.name.as_str()).collect(),
+            constraints: &request.constraints,
+            points: request.points,
+            space: request.space.flat(),
+            weights: &request.weights,
+            shape: request.shape_fingerprint(),
+            // The decomposed solver restarts every block from the midpoint
+            // by design (its determinism guarantee), so only joint solves
+            // warm-start from a near entry.
+            warm_near: request.mode == StageMode::Joint,
+            default_x: None,
         };
-        let mut degraded = false;
-        let weights = request.weights.clone();
-        // Frontier-cache lookup: the key carries the stage-shape
-        // fingerprint, so entries are structurally unreachable from any
-        // other DAG shape (or from plain workload-level requests).
-        let shape = request.shape_fingerprint();
-        let cache_slot = udao.frontier_cache.as_ref().map(|cache| {
-            let objective_names: Vec<&str> =
-                request.objectives.iter().map(|s| s.name.as_str()).collect();
-            let (key, fingerprint) = FrontierKey::for_request_shaped(
-                &request.workload_id,
-                &objective_names,
-                &request.constraints,
-                request.points,
-                &model_versions,
-                shape,
-            );
-            (cache, key, fingerprint)
-        });
-        let mut cached_sel: Option<MooSelection> = None;
-        let mut warm_seed: Option<Arc<CachedFrontier>> = None;
-        if let Some((cache, key, fingerprint)) = &cache_slot {
-            let k = problem.num_objectives();
-            match cache.lookup(key, fingerprint) {
-                CacheLookup::Exact(entry) if entry.seed.usable_for(k) => {
-                    match Udao::select_from_cache(&entry, &weights, started) {
-                        Ok(sel) => {
-                            udao_telemetry::counter(names::CACHE_SERVED).inc();
-                            cached_sel = Some(sel);
-                        }
-                        Err(_) => udao_telemetry::counter(names::CACHE_MISSES).inc(),
-                    }
-                }
-                // Near hits only warm-start the joint path; the decomposed
-                // solver restarts every block from the midpoint by design
-                // (its determinism guarantee), so a near entry is a miss.
-                CacheLookup::Near(entry)
-                    if request.mode == StageMode::Joint && entry.seed.usable_for(k) =>
-                {
-                    udao_telemetry::counter(names::CACHE_WARM_STARTS).inc();
-                    warm_seed = Some(entry);
-                }
-                _ => udao_telemetry::counter(names::CACHE_MISSES).inc(),
-            }
-        }
-        let from_cache = cached_sel.is_some();
-        let mut work = DescentWork::new(n_stages);
-        let mut sel = {
-            let _moo_span = udao_telemetry::span("moo");
-            if let Some(sel) = cached_sel {
-                sel
-            } else {
+        self.run_request(
+            job,
+            budget,
+            |budget| self.build_stage_problem(request, budget),
+            |problem, state, seed| {
                 udao_telemetry::counter(names::STAGE_TUNED).add(n_stages as u64);
-                let solved = match request.mode {
-                    StageMode::Joint => {
-                        let seed = warm_seed.as_ref().map(|entry| &entry.seed);
-                        udao.run_moo_and_select(&problem, request.points, &weights, budget, seed)
-                    }
-                    StageMode::Descent => self.descent_select(
-                        &problem,
-                        &request.space,
-                        &request.dag,
-                        &weights,
+                match request.mode {
+                    StageMode::Joint => self.run_moo_and_select(
+                        problem,
                         request.points,
-                        budget,
-                        &mut work,
+                        &request.weights,
+                        &budget,
+                        seed,
                     ),
-                };
-                match solved {
-                    Ok(sel) => sel,
-                    Err(e) if absorbable(&e) => {
-                        eprintln!(
-                            "udao: per-stage solve failed ({e}); serving default configuration"
-                        );
-                        udao_telemetry::counter(names::FALLBACK_TRANSITIONS).inc();
-                        let (_, _, sel) = Udao::default_recommendation(
-                            &problem,
-                            request.space.flat(),
-                            None,
-                            started,
-                        )?;
+                    StageMode::Descent => {
+                        let sel = self.descent_select(problem, request, &budget, &mut state.work);
+                        let rounds = state.work.rounds;
+                        if rounds > 0 {
+                            udao_telemetry::counter(names::STAGE_DESCENT_ROUNDS).add(rounds);
+                        }
                         sel
                     }
-                    Err(e) => return Err(e),
                 }
-            }
-        };
-        if work.rounds > 0 {
-            udao_telemetry::counter(names::STAGE_DESCENT_ROUNDS).add(work.rounds);
-        }
-        // Insert-on-success, exactly like the workload-level path: only
-        // clean primary solves are worth reusing.
-        if let Some((cache, key, fingerprint)) = cache_slot {
-            if !from_cache && sel.stage == FallbackStage::Primary && !sel.degraded {
-                if let Some(seed) = sel.seed.take() {
-                    cache.insert(key, fingerprint, CachedFrontier { seed });
-                }
-            }
-        }
-        degraded |= sel.degraded;
-        let (snapped, predicted) = {
-            let _snap_span = udao_telemetry::span("snap");
-            Udao::snap_resilient(&problem, request.space.flat(), &sel, &mut degraded)?
-        };
-        let attribution =
-            stage_attribution(&composed, &snapped, n_stages, &work);
-        Ok(StageSolved { sel, degraded, snapped, predicted, model_versions, attribution })
+            },
+            |state, snapped| {
+                let attribution =
+                    stage_attribution(&state.composed, snapped, n_stages, &state.work);
+                let seconds = started.elapsed().as_secs_f64();
+                udao_telemetry::histogram(names::STAGE_SOLVE_SECONDS).record(seconds);
+                attribution
+            },
+        )
     }
 
     /// Build the composed MOO problem for a request: per-stage models
     /// (carried analytic or resolved learned, version-pinned for the whole
     /// solve) composed over the DAG per objective.
-    fn build_problem(
+    fn build_stage_problem(
         &self,
         request: &StageRequest,
         budget: &Budget,
-    ) -> Result<BuiltProblem> {
-        let udao = self.udao;
+    ) -> Result<BuiltProblem<StageState>> {
         let mut composed: Vec<Arc<ComposedObjective>> = Vec::new();
         let mut versions: Vec<(String, u64)> = Vec::new();
         // FNV-1a fold of pinned versions, exactly like the workload-level
         // problem builder: any hot-swap between builds changes the stamp.
-        let mut generation: u64 = FNV_OFFSET;
+        let mut generation = FNV_OFFSET;
         for spec in &request.objectives {
             let models: Vec<Arc<dyn ObjectiveModel>> = match &spec.models {
                 Some(models) => models.clone(),
@@ -516,10 +372,10 @@ impl StageTuner<'_> {
                             format!("{}::stage{i}", request.workload_id),
                             spec.name.clone(),
                         );
-                        match udao.resolve_model(&key, budget)? {
+                        match self.resolve_model(&key, budget)? {
                             Some(lease) => {
                                 versions.push((format!("stage{i}/{}", spec.name), lease.version));
-                                generation = fnv(generation, lease.version);
+                                generation = fnv_fold(generation, lease.version);
                                 models.push(lease.model);
                             }
                             // Stage models have no workload-agnostic
@@ -555,7 +411,9 @@ impl StageTuner<'_> {
         let problem = MooProblem::new(request.space.encoded_dim(), objectives)
             .with_constraints(constraints)
             .with_generation(generation);
-        Ok((problem, composed, versions))
+        let work = DescentWork::new(request.dag.len());
+        let state = StageState { composed, work };
+        Ok(BuiltProblem { problem, degraded: false, versions, state })
     }
 
     /// The decomposed solver: anchors → scalarization sweep → selection.
@@ -565,20 +423,17 @@ impl StageTuner<'_> {
     /// utopia/nadir corners; each sweep weight `λ = t/(points-1)` then
     /// block-descends the normalized weighted sum from the snapped
     /// midpoint. The non-dominated candidates form the frontier.
-    #[allow(clippy::too_many_arguments)]
     fn descent_select(
         &self,
         problem: &MooProblem,
-        space: &StageSpace,
-        dag: &StageDag,
-        weights: &Option<Vec<f64>>,
-        points: usize,
+        request: &StageRequest,
         budget: &Budget,
         work: &mut DescentWork,
     ) -> Result<MooSelection> {
+        let (space, points) = (&request.space, request.points);
         let start_t = Instant::now();
         let k = problem.num_objectives();
-        let order = dag.canonical_order();
+        let order = request.dag.canonical_order();
         let mid = space.flat().snap(&vec![0.5; space.encoded_dim()])?;
         // Anchors: per objective, its lexicographic minimizer.
         let mut anchors: Vec<(Vec<f64>, Vec<f64>)> = Vec::with_capacity(k);
@@ -639,11 +494,6 @@ impl StageTuner<'_> {
         let fs: Vec<Vec<f64>> = frontier.iter().map(|pt| pt.f.clone()).collect();
         let (front_utopia, front_nadir) = utopia_nadir(&fs)
             .ok_or_else(|| Error::Infeasible("empty per-stage frontier".into()))?;
-        let strategy = match weights {
-            Some(w) => Strategy::WeightedUtopiaNearest(w.clone()),
-            None => Strategy::UtopiaNearest,
-        };
-        let idx = recommend(&frontier, &front_utopia, &front_nadir, &strategy)?;
         let seed = PfSeed {
             frontier: frontier.clone(),
             utopia: front_utopia.clone(),
@@ -651,17 +501,13 @@ impl StageTuner<'_> {
             uncertain: Vec::new(),
             initial_volume: 0.0,
         };
+        let sel = MooSelection::choose(frontier, front_utopia, front_nadir, &request.weights)?;
         Ok(MooSelection {
-            x: frontier[idx].x.clone(),
-            f: frontier[idx].f.clone(),
-            frontier,
-            utopia: front_utopia,
-            nadir: front_nadir,
             probes: work.probes,
             moo_seconds: start_t.elapsed().as_secs_f64(),
-            stage: FallbackStage::Primary,
             degraded: truncated,
             seed: Some(seed),
+            ..sel
         })
     }
 
@@ -756,10 +602,10 @@ impl StageTuner<'_> {
         let co = CoProblem::unconstrained(0, 1);
         let solution = guard(|| {
             if dim <= 3 {
-                ExactGridSolver::new(self.udao.pf_options.exact_resolution)
+                ExactGridSolver::new(self.pf_options.exact_resolution)
                     .solve_within(&sub_problem, &co, budget)
             } else {
-                Mogd::new(self.udao.pf_options.mogd.clone()).solve_within(&sub_problem, &co, budget)
+                Mogd::new(self.pf_options.mogd.clone()).solve_within(&sub_problem, &co, budget)
             }
         })?;
         Ok(solution.map(|s| {
@@ -767,16 +613,6 @@ impl StageTuner<'_> {
             (s.x, value)
         }))
     }
-}
-
-/// The stage solve core's output, before report assembly.
-struct StageSolved {
-    sel: MooSelection,
-    degraded: bool,
-    snapped: Vec<f64>,
-    predicted: Vec<f64>,
-    model_versions: Vec<(String, u64)>,
-    attribution: Vec<StageAttribution>,
 }
 
 /// Per-stage attribution at the final recommendation: descent accounting
@@ -805,11 +641,9 @@ fn stage_attribution(
         .collect()
 }
 
-/// Reject malformed requests before any model resolution.
+/// Reject malformed per-stage requests before any model resolution (the
+/// shared request path rejects requests without objectives).
 fn validate(request: &StageRequest) -> Result<()> {
-    if request.objectives.is_empty() {
-        return Err(Error::InvalidConfig("per-stage request has no objectives".into()));
-    }
     if request.dag.is_empty() {
         return Err(Error::InvalidConfig("per-stage request has an empty stage DAG".into()));
     }

@@ -66,7 +66,7 @@ fn atomic_add_f64(cell: &AtomicU64, v: f64) {
 ///
 /// Histograms created by the global registry remember their name and
 /// forward every observation to the identically-named histogram of the
-/// active request scope (see [`crate::scope`]).
+/// active request scope (see [`crate::enter_scope`]).
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,

@@ -15,7 +15,7 @@ use std::sync::{Arc, OnceLock};
 ///
 /// Counters created by the [`global`] registry remember their name and
 /// *forward* every increment to the identically-named counter of the
-/// active request scope (see [`crate::scope`]), so per-request attribution
+/// active request scope (see [`crate::enter_scope`]), so per-request attribution
 /// works even through handles cached long before the request started.
 #[derive(Debug, Default)]
 pub struct Counter {
@@ -161,7 +161,8 @@ impl MetricsRegistry {
 
 /// The process-wide registry every instrumented crate records into. Its
 /// instruments forward increments into the active request scope (see
-/// [`crate::scope`]), so per-request deltas stay exact under concurrency.
+/// [`crate::enter_scope`]), so per-request deltas stay exact under
+/// concurrency.
 pub fn global() -> &'static MetricsRegistry {
     static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
     GLOBAL.get_or_init(MetricsRegistry::new_forwarding)

@@ -34,7 +34,7 @@ fn main() {
                 .objective_bounded(BatchObjective::CostCores, 4.0, 58.0)
                 .weights(vec![wl, wc])
                 .points(12);
-            match udao.recommend_batch(&req) {
+            match udao.recommend(&req) {
                 Ok(rec) => {
                     let conf = rec.batch_conf.unwrap();
                     let measured = udao.measure_batch(w, &conf, 0).expect("simulatable workload");

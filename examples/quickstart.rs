@@ -31,7 +31,7 @@ fn main() {
         .objective(BatchObjective::CostCores)
         .weights(vec![0.5, 0.5])
         .points(15);
-    let rec = udao.recommend_batch(&request).expect("recommendation");
+    let rec = udao.recommend(&request).expect("recommendation");
 
     println!(
         "Pareto frontier ({} points, {} probes, {:.2}s MOO time):",

@@ -49,7 +49,7 @@ fn main() {
             .objective(StreamObjective::CostCores)
             .weights(weights)
             .points(10);
-        match udao.recommend_streaming(&req) {
+        match udao.recommend(&req) {
             Ok(rec) => {
                 let conf = rec.stream_conf.as_ref().unwrap();
                 let measured = udao.measure_streaming(news, conf, 0).expect("simulatable workload");

@@ -30,7 +30,7 @@ fn main() {
         .objective(StreamObjective::Latency)
         .objective(StreamObjective::Throughput)
         .points(15);
-    let rec = udao.recommend_streaming(&req2d).expect("2-D run");
+    let rec = udao.recommend(&req2d).expect("2-D run");
     println!("\n2-D frontier (latency vs throughput), {} points:", rec.frontier.len());
     let mut pts: Vec<_> = rec.frontier.iter().map(|p| (p.f[0], -p.f[1])).collect();
     pts.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -61,7 +61,7 @@ fn main() {
         .objective(StreamObjective::CostCores)
         .weights(vec![0.6, 0.2, 0.2])
         .points(15);
-    let rec3 = udao.recommend_streaming(&req3d).expect("3-D run");
+    let rec3 = udao.recommend(&req3d).expect("3-D run");
     println!(
         "\n3-D frontier: {} points in {:.2}s ({} probes)",
         rec3.frontier.len(),

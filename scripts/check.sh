@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate: release build, full test suite, and clippy with warnings
+# Local CI gate: release build, full test suite, clippy and rustdoc with warnings
 # denied. `clippy::disallowed-methods` is enabled so the unwrap() ban of
 # crates/system/clippy.toml is enforced (see that file for rationale).
 #
@@ -23,6 +23,11 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -W clippy::disallowed-methods -D warnings
+
+echo "==> rustdoc with warnings denied"
+# Broken or private intra-doc links (e.g. to a deleted type) and unescaped
+# citation brackets fail the gate instead of rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "==> telemetry bench smoke"
 cargo run --release -p udao-bench --bin bench_telemetry

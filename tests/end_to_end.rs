@@ -34,7 +34,7 @@ fn batch_pipeline_beats_the_spark_default_on_latency_preference() {
     udao.train_batch(w, 60, ModelFamily::Gp, &[BatchObjective::Latency]);
 
     let rec = udao
-        .recommend_batch(
+        .recommend(
             &BatchRequest::new("q9-v0")
                 .objective(BatchObjective::Latency)
                 .objective_bounded(BatchObjective::CostCores, 4.0, 58.0)
@@ -61,7 +61,7 @@ fn constraints_are_respected_by_the_recommendation() {
     udao.train_batch(w, 60, ModelFamily::Gp, &[BatchObjective::Latency]);
 
     let rec = udao
-        .recommend_batch(
+        .recommend(
             &BatchRequest::new("q6-v0")
                 .objective(BatchObjective::Latency)
                 .objective_bounded(BatchObjective::CostCores, 4.0, 20.0)
@@ -84,7 +84,7 @@ fn dnn_models_work_end_to_end_like_gp_models() {
     udao.train_batch(w, 50, ModelFamily::Dnn, &[BatchObjective::Latency]);
 
     let rec = udao
-        .recommend_batch(
+        .recommend(
             &BatchRequest::new("q1-v0")
                 .objective(BatchObjective::Latency)
                 .objective(BatchObjective::CostCores)
@@ -107,7 +107,7 @@ fn streaming_pipeline_keeps_the_job_stable() {
         &[StreamObjective::Latency, StreamObjective::Throughput],
     );
     let rec = udao
-        .recommend_streaming(
+        .recommend(
             &StreamRequest::new(w.id.clone())
                 .objective(StreamObjective::Latency)
                 .objective(StreamObjective::Throughput)
@@ -127,7 +127,7 @@ fn model_server_updates_flow_into_new_recommendations() {
     let w = workloads.iter().find(|w| w.id == "q3-v0").unwrap();
     udao.train_batch(w, 30, ModelFamily::Gp, &[BatchObjective::Latency]);
     let r1 = udao
-        .recommend_batch(
+        .recommend(
             &BatchRequest::new("q3-v0")
                 .objective(BatchObjective::Latency)
                 .objective(BatchObjective::CostCores)
@@ -136,7 +136,7 @@ fn model_server_updates_flow_into_new_recommendations() {
         .unwrap();
     udao.train_batch(w, 250, ModelFamily::Gp, &[BatchObjective::Latency]);
     let r2 = udao
-        .recommend_batch(
+        .recommend(
             &BatchRequest::new("q3-v0")
                 .objective(BatchObjective::Latency)
                 .objective(BatchObjective::CostCores)
@@ -160,7 +160,7 @@ fn recommendations_are_reproducible() {
         .objective(BatchObjective::Latency)
         .objective(BatchObjective::CostCores)
         .points(6);
-    let a = udao.recommend_batch(&req).unwrap();
-    let b = udao.recommend_batch(&req).unwrap();
+    let a = udao.recommend(&req).unwrap();
+    let b = udao.recommend(&req).unwrap();
     assert_eq!(a.x, b.x, "same models + same request => same recommendation");
 }

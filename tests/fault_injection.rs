@@ -2,7 +2,7 @@
 //! models, dropped lookups, injected latency, and panicking workers, and
 //! still return a valid (possibly degraded) recommendation.
 //!
-//! Each scenario drives `recommend_batch` / `recommend_streaming` through a
+//! Each scenario drives `Udao::recommend` (batch and streaming) through a
 //! [`FaultInjector`] installed at the [`ModelProvider`] seam, with every
 //! fault rate at or above 10%, and asserts the request still ends in
 //! `Ok(Recommendation)` with a mutually non-dominated frontier.
@@ -110,7 +110,7 @@ fn nan_models_still_yield_a_recommendation() {
         ResilienceOptions::default(),
     );
     let rec = udao
-        .recommend_batch(&latency_cost_request("q1-v0"))
+        .recommend(&latency_cost_request("q1-v0"))
         .expect("NaN-poisoned models must degrade, not fail");
     assert_valid(&rec);
     assert!(rec.predicted.iter().all(|v| v.is_finite()), "{:?}", rec.predicted);
@@ -129,7 +129,7 @@ fn dropped_lookups_are_retried_and_absorbed() {
     let req = latency_cost_request("q2-v0");
     for round in 0..5 {
         let rec = udao
-            .recommend_batch(&req)
+            .recommend(&req)
             .unwrap_or_else(|e| panic!("round {round} failed: {e}"));
         assert_valid(&rec);
     }
@@ -144,13 +144,13 @@ fn cold_start_degrades_to_heuristics_when_enabled() {
         .build()
         .expect("valid options");
     let rec = udao
-        .recommend_batch(&latency_cost_request("q5-v0"))
+        .recommend(&latency_cost_request("q5-v0"))
         .expect("cold start must fall back to heuristic priors");
     assert_valid(&rec);
     assert!(rec.degraded, "heuristic answer must be flagged degraded");
 
     let srec = udao
-        .recommend_streaming(
+        .recommend(
             &StreamRequest::new(streaming_workloads()[0].id.clone())
                 .objective(StreamObjective::Latency)
                 .objective(StreamObjective::CostCores)
@@ -164,7 +164,7 @@ fn cold_start_degrades_to_heuristics_when_enabled() {
 #[test]
 fn cold_start_without_degradation_is_a_clear_error() {
     let udao = Udao::new(ClusterSpec::paper_cluster());
-    let err = udao.recommend_batch(&latency_cost_request("q5-v0")).unwrap_err();
+    let err = udao.recommend(&latency_cost_request("q5-v0")).unwrap_err();
     assert!(err.to_string().contains("no trained model"), "{err}");
 }
 
@@ -184,7 +184,7 @@ fn slow_models_respect_the_request_budget() {
     );
     let started = Instant::now();
     let rec = udao
-        .recommend_batch(&latency_cost_request("q3-v0"))
+        .recommend(&latency_cost_request("q3-v0"))
         .expect("slow models must yield best-so-far, not hang");
     let elapsed = started.elapsed();
     assert_valid(&rec);
@@ -203,7 +203,7 @@ fn panicking_workers_are_absorbed_by_the_ladder() {
         ResilienceOptions::default(),
     );
     let rec = udao
-        .recommend_batch(&latency_cost_request("q6-v0"))
+        .recommend(&latency_cost_request("q6-v0"))
         .expect("panicking models must be isolated, not fatal");
     assert_valid(&rec);
     assert!(injector.counts().panics > 0, "no panic was actually injected");
@@ -232,7 +232,7 @@ fn all_faults_at_once_cannot_break_the_serving_path() {
         );
         let started = Instant::now();
         let rec = udao
-            .recommend_batch(&latency_cost_request("q7-v0"))
+            .recommend(&latency_cost_request("q7-v0"))
             .unwrap_or_else(|e| panic!("seed {seed}: chaos broke the serving path: {e}"));
         assert_valid(&rec);
         assert!(started.elapsed() < budget + Duration::from_secs(10));
@@ -270,7 +270,7 @@ fn streaming_requests_survive_fault_injection() {
     let w = &workloads[0];
     udao.train_streaming(w, 40, ModelFamily::Gp, &[StreamObjective::Latency]);
     let rec = udao
-        .recommend_streaming(
+        .recommend(
             &StreamRequest::new(w.id.clone())
                 .objective(StreamObjective::Latency)
                 .objective(StreamObjective::CostCores)

@@ -77,7 +77,7 @@ fn exact_hit_serves_the_cached_frontier_without_solving() {
     let w = q2();
     udao.train_batch(&w, 40, ModelFamily::Gp, &[BatchObjective::Latency]);
 
-    let first = udao.recommend_batch(&q2_request(4)).expect("cold solve");
+    let first = udao.recommend(&q2_request(4)).expect("cold solve");
     assert_eq!(first.report.cache_served, 0);
     assert_eq!(first.report.cache_warm_starts, 0);
     assert_eq!(first.report.cache_misses, 1, "an enabled cache counts the cold miss");
@@ -85,7 +85,7 @@ fn exact_hit_serves_the_cached_frontier_without_solving() {
     let cache = udao.frontier_cache().expect("cache enabled");
     assert_eq!(cache.len(), 1, "the successful primary solve populated the cache");
 
-    let second = udao.recommend_batch(&q2_request(4)).expect("cached solve");
+    let second = udao.recommend(&q2_request(4)).expect("cached solve");
     assert_eq!(second.report.cache_served, 1, "identical request is an exact hit");
     assert_eq!(second.report.cache_misses, 0);
     assert_eq!(second.probes, 0, "a served frontier spends no PF probes");
@@ -117,9 +117,9 @@ fn differing_weights_share_one_entry_and_reselect() {
     udao.train_batch(&w, 40, ModelFamily::Gp, &[BatchObjective::Latency]);
 
     let lat_heavy =
-        udao.recommend_batch(&q2_request(4).weights(vec![0.95, 0.05])).expect("cold solve");
+        udao.recommend(&q2_request(4).weights(vec![0.95, 0.05])).expect("cold solve");
     let cost_heavy =
-        udao.recommend_batch(&q2_request(4).weights(vec![0.05, 0.95])).expect("served solve");
+        udao.recommend(&q2_request(4).weights(vec![0.05, 0.95])).expect("served solve");
     assert_eq!(lat_heavy.report.cache_served, 0);
     assert_eq!(cost_heavy.report.cache_served, 1, "weights are not part of the cache key");
     assert_eq!(udao.frontier_cache().expect("enabled").len(), 1);
@@ -152,15 +152,15 @@ fn warm_started_near_hit_matches_cold_frontier_quality() {
         .expect("valid options");
     control.train_batch(&w, 40, ModelFamily::Gp, &[BatchObjective::Latency]);
 
-    let seeded = cached.recommend_batch(&q2_request(6)).expect("cold solve populates cache");
+    let seeded = cached.recommend(&q2_request(6)).expect("cold solve populates cache");
     assert_eq!(seeded.report.cache_misses, 1);
 
-    let warm = cached.recommend_batch(&q2_request(5)).expect("warm-started solve");
+    let warm = cached.recommend(&q2_request(5)).expect("warm-started solve");
     assert_eq!(warm.report.cache_warm_starts, 1, "different point count is a near hit");
     assert_eq!(warm.report.cache_served, 0, "near hits still solve");
     assert!(warm.probes > 0, "the warm start resumes probing, not serving");
 
-    let cold = control.recommend_batch(&q2_request(5)).expect("cold control solve");
+    let cold = control.recommend(&q2_request(5)).expect("cold control solve");
     assert_eq!(cold.report.cache_served + cold.report.cache_warm_starts, 0);
 
     assert!(!warm.frontier.is_empty() && !cold.frontier.is_empty());
@@ -188,15 +188,15 @@ fn hot_swap_makes_cached_frontiers_unreachable() {
     let key = ModelKey::new("q2-v0", "latency");
     assert_eq!(server.current_version(&key), 1);
 
-    let v1 = udao.recommend_batch(&q2_request(4)).expect("solve at v1");
+    let v1 = udao.recommend(&q2_request(4)).expect("solve at v1");
     assert_eq!(v1.report.model_versions, vec![("latency".to_string(), 1)]);
-    assert_eq!(udao.recommend_batch(&q2_request(4)).expect("served at v1").report.cache_served, 1);
+    assert_eq!(udao.recommend(&q2_request(4)).expect("served at v1").report.cache_served, 1);
 
     // Hot-swap: an (empty) forced retrain republishes and bumps the version.
     assert!(server.retrain_now(&key, &Dataset::default()), "forced retrain publishes");
     assert_eq!(server.current_version(&key), 2);
 
-    let v2 = udao.recommend_batch(&q2_request(4)).expect("solve at v2");
+    let v2 = udao.recommend(&q2_request(4)).expect("solve at v2");
     assert_eq!(v2.report.cache_served, 0, "retired-weight frontier must not be served");
     assert_eq!(v2.report.cache_misses, 1);
     assert_eq!(v2.report.model_versions, vec![("latency".to_string(), 2)]);
@@ -207,7 +207,7 @@ fn hot_swap_makes_cached_frontiers_unreachable() {
     assert_eq!(cache.len(), 2, "stale v1 entry plus fresh v2 entry");
     assert!(udao.prune_idle() >= 1, "prune reclaims the stale entry");
     assert_eq!(cache.len(), 1, "only the current-version entry survives");
-    assert_eq!(udao.recommend_batch(&q2_request(4)).expect("served at v2").report.cache_served, 1);
+    assert_eq!(udao.recommend(&q2_request(4)).expect("served at v2").report.cache_served, 1);
 }
 
 /// Degenerate capacities are rejected at build time, and a cacheless build
@@ -226,8 +226,59 @@ fn zero_capacity_is_rejected_and_cacheless_builds_stay_silent() {
     assert!(udao.frontier_cache().is_none());
     let w = q2();
     udao.train_batch(&w, 40, ModelFamily::Gp, &[BatchObjective::Latency]);
-    let rec = udao.recommend_batch(&q2_request(4)).expect("solve");
+    let rec = udao.recommend(&q2_request(4)).expect("solve");
     let total =
         rec.report.cache_served + rec.report.cache_warm_starts + rec.report.cache_misses;
     assert_eq!(total, 0, "a cacheless instance never counts cache traffic");
+}
+
+/// The `[lo, hi)` span of the quantized constraint cell holding `v`: every
+/// bound inside it lands on the same `FrontierKey`.
+fn region_cell_span(v: f64) -> (f64, f64) {
+    let keep = 52 - udao::frontier_cache::REGION_MANTISSA_BITS;
+    let lo = v.to_bits() & !((1u64 << keep) - 1);
+    (f64::from_bits(lo), f64::from_bits(lo + (1u64 << keep)))
+}
+
+/// A near hit whose bound is tighter than the cached request's must not
+/// leak cached points outside the new bound: the seed frontier is filtered
+/// against the new request before the warm-started run resumes from it, so
+/// every point of the response's frontier satisfies *this* request.
+#[test]
+fn near_hit_frontier_respects_the_tighter_bound() {
+    let udao = cached_builder(32).build().expect("valid options");
+    let w = q2();
+    udao.train_batch(&w, 40, ModelFamily::Gp, &[BatchObjective::Latency]);
+    let bounded = |hi: f64| {
+        BatchRequest::new("q2-v0")
+            .objective_bounded(BatchObjective::Latency, 0.0, hi)
+            .objective(BatchObjective::CostCores)
+            .points(6)
+    };
+    // Place both bounds in the quantization cell of a mid-frontier latency:
+    // `loose` at the top of the cell, `tight` at its bottom.
+    let free = udao.recommend(&q2_request(6)).expect("unbounded solve");
+    let mut latencies: Vec<f64> = free.frontier.iter().map(|p| p.f[0]).collect();
+    latencies.sort_by(f64::total_cmp);
+    let (cell_lo, cell_hi) = region_cell_span(latencies[latencies.len() / 2]);
+    let loose = cell_lo + 0.999 * (cell_hi - cell_lo);
+    let tight = cell_lo + 0.001 * (cell_hi - cell_lo);
+
+    let cached = udao.recommend(&bounded(loose)).expect("loose-bound solve");
+    assert_eq!(cached.report.cache_misses, 1, "a new constraint cell is a miss");
+    let slack = |hi: f64| udao_core::mogd::MogdConfig::default().tol * hi;
+    let cut = cached.frontier.iter().filter(|p| p.f[0] > tight + slack(tight)).count();
+    assert!(cut > 0, "the cached frontier must hold points the tight bound cuts off");
+    assert!(cut < cached.frontier.len(), "and points it keeps, so the near hit warm-starts");
+
+    let near = udao.recommend(&bounded(tight)).expect("tight-bound solve");
+    assert_eq!(near.report.cache_warm_starts, 1, "same cell, different bound: a near hit");
+    for p in &near.frontier {
+        assert!(
+            p.f[0] <= tight + slack(tight),
+            "frontier point at latency {} leaks past the bound {tight}",
+            p.f[0]
+        );
+    }
+    assert!(near.predicted[0] <= tight + slack(tight), "the recommendation is within the bound");
 }

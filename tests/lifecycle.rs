@@ -253,7 +253,7 @@ fn swap_storm_pins_one_version_per_request_and_replays_bitwise() {
             .map(|(name, version)| (ModelKey::new("q2-v0", name.clone()), *version))
             .collect();
         *pinned.pin.lock().unwrap() = pins;
-        let again = replay.recommend_batch(&q2_request(points_of(i))).expect("replay solve");
+        let again = replay.recommend(&q2_request(points_of(i))).expect("replay solve");
         assert_eq!(again.frontier.len(), rec.frontier.len(), "request {i} frontier size");
         for (a, b) in rec.x.iter().zip(&again.x) {
             assert_eq!(a.to_bits(), b.to_bits(), "request {i}: x differs from pinned replay");
@@ -302,7 +302,7 @@ fn drift_retrain_is_visible_to_the_next_request() {
         })
         .expect("lifecycle starts");
 
-    let before = udao.recommend_batch(&q2_request(3)).expect("pre-drift solve");
+    let before = udao.recommend(&q2_request(3)).expect("pre-drift solve");
     assert_eq!(before.report.model_versions, vec![("latency".to_string(), 1)]);
 
     // Observed reality an order of magnitude off the prediction: one full
@@ -322,7 +322,7 @@ fn drift_retrain_is_visible_to_the_next_request() {
     // Within one request cycle: the very next solve pins the new version
     // (its problem generation changed with it, so no memoized evaluation
     // from v1 can leak into this answer).
-    let after = udao.recommend_batch(&q2_request(3)).expect("post-drift solve");
+    let after = udao.recommend(&q2_request(3)).expect("post-drift solve");
     assert_eq!(after.report.model_versions, vec![("latency".to_string(), 2)]);
     assert_eq!(after.report.stale_served, 0);
 }
@@ -350,7 +350,7 @@ fn lifecycle_retrain_invalidates_cached_frontiers() {
         })
         .expect("lifecycle starts");
 
-    let before = udao.recommend_batch(&q2_request(3)).expect("pre-drift solve");
+    let before = udao.recommend(&q2_request(3)).expect("pre-drift solve");
     let cache = udao.frontier_cache().expect("cache enabled");
     assert_eq!(cache.len(), 1, "the solve cached its frontier");
 
@@ -368,7 +368,7 @@ fn lifecycle_retrain_invalidates_cached_frontiers() {
         0,
         "the publish fan-out must drop frontiers built on the retired weights"
     );
-    let after = udao.recommend_batch(&q2_request(3)).expect("post-drift solve");
+    let after = udao.recommend(&q2_request(3)).expect("post-drift solve");
     assert_eq!(after.report.cache_served, 0, "nothing cached survives the swap");
     assert_eq!(after.report.cache_misses, 1);
     assert_eq!(after.report.model_versions, vec![("latency".to_string(), 2)]);
@@ -398,7 +398,7 @@ fn swap_storm_never_serves_frontiers_from_retired_weights() {
 
     for round in 0..8u64 {
         let expected_version = server.current_version(&key);
-        let cold = udao.recommend_batch(&q2_request(3)).expect("post-swap solve");
+        let cold = udao.recommend(&q2_request(3)).expect("post-swap solve");
         assert_eq!(
             cold.report.cache_served, 0,
             "round {round}: a frontier from retired weights was served"
@@ -409,7 +409,7 @@ fn swap_storm_never_serves_frontiers_from_retired_weights() {
             "round {round}: the miss must pin the live version"
         );
         assert_eq!(cold.report.stale_served, 0);
-        let hit = udao.recommend_batch(&q2_request(3)).expect("repeat solve");
+        let hit = udao.recommend(&q2_request(3)).expect("repeat solve");
         assert_eq!(
             hit.report.cache_served, 1,
             "round {round}: an unswapped repeat must hit the cache"

@@ -67,7 +67,7 @@ fn no_lost_or_duplicated_responses_under_concurrent_load() {
     let variants: Vec<usize> = vec![3, 4, 5, 6, 3, 4, 5, 6];
     let serial: Vec<_> = variants
         .iter()
-        .map(|&points| udao.recommend_batch(&q2_request(points)).expect("serial solve"))
+        .map(|&points| udao.recommend(&q2_request(points)).expect("serial solve"))
         .collect();
     let engine: ServingEngine<BatchObjective> =
         ServingEngine::start_with(Arc::clone(&udao), ServingOptions::default().with_workers(4));
@@ -89,7 +89,7 @@ fn no_lost_or_duplicated_responses_under_concurrent_load() {
 #[test]
 fn results_are_bitwise_deterministic_across_worker_counts() {
     let udao = trained_udao();
-    let serial = udao.recommend_batch(&q2_request(5)).expect("serial");
+    let serial = udao.recommend(&q2_request(5)).expect("serial");
     for workers in [1usize, 4] {
         let engine: ServingEngine<BatchObjective> = ServingEngine::start_with(
             Arc::clone(&udao),
@@ -232,7 +232,7 @@ fn per_request_reports_stay_exact_under_engine_concurrency() {
     let udao = trained_udao();
     // Solo baseline: deterministic counters for this request when nothing
     // else is in flight.
-    let solo = udao.recommend_batch(&q2_request(5)).expect("solo").report;
+    let solo = udao.recommend(&q2_request(5)).expect("solo").report;
     assert!(solo.model_inferences > 0);
     assert!(solo.model_batch_calls > 0);
     let engine: ServingEngine<BatchObjective> =

@@ -247,6 +247,28 @@ fn stage_shaped_cache_keys_never_serve_a_different_dag() {
         .expect("joint diamond solve");
     assert_eq!(joint.report.cache_served, 0, "mode is part of the shape");
     assert_eq!(cache.len(), 3, "joint mode occupies its own entry");
+    // A near repeat (same shape and bounds, another point budget)
+    // warm-starts a joint solve from its cached entry; the decomposed
+    // solver restarts every block from the midpoint by design, so the same
+    // near repeat in descent mode is a miss.
+    let near = |mode| stage_request("shared-wl", &diamond, mode).points(LAMBDAS.len() - 1);
+    let joint_near = udao.recommend_stages(&near(StageMode::Joint)).expect("joint near repeat");
+    assert_eq!(joint_near.report.cache_warm_starts, 1, "joint near repeat warm-starts");
+    assert_eq!(joint_near.report.cache_misses, 0);
+    let descent_near =
+        udao.recommend_stages(&near(StageMode::Descent)).expect("descent near repeat");
+    assert_eq!(descent_near.report.cache_warm_starts, 0, "descent never warm-starts");
+    assert_eq!(descent_near.report.cache_misses, 1, "descent near repeat is a miss");
+    // Stage reports carry the shared spans under the paths perfbench reads.
+    for rec in [&cold, &joint_near, &descent_near] {
+        for path in ["recommend/models", "recommend/moo", "recommend/snap"] {
+            assert!(
+                rec.report.stages.iter().any(|t| t.path == path && t.count > 0),
+                "stage report lacks span {path}: {:?}",
+                rec.report.stages
+            );
+        }
+    }
 }
 
 /// A single-stage DAG degenerates cleanly: the composed problem is the

@@ -32,7 +32,7 @@ fn solve_report_counts_real_optimizer_work() {
     let q2 = workloads.iter().find(|w| w.id == "q2-v0").unwrap();
     udao.train_batch(q2, 40, ModelFamily::Gp, &[BatchObjective::Latency]);
     let rec = udao
-        .recommend_batch(
+        .recommend(
             &BatchRequest::new("q2-v0")
                 .objective(BatchObjective::Latency)
                 .objective(BatchObjective::CostCores)
@@ -123,7 +123,7 @@ fn ladder_descents_show_up_in_the_report() {
     udao.train_batch(q1, 40, ModelFamily::Gp, &[BatchObjective::Latency]);
 
     let rec = udao
-        .recommend_batch(
+        .recommend(
             &BatchRequest::new("q1-v0")
                 .objective(BatchObjective::Latency)
                 .objective(BatchObjective::CostCores)
