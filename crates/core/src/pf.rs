@@ -230,13 +230,23 @@ impl PfState {
     }
 
     /// Resume from `seed`, keeping only the seed points that satisfy
-    /// `problem`'s value constraints within `tol`: the seed may come from a
-    /// nearby request with looser bounds.
+    /// `problem`'s value constraints within `tol`, and clipping each saved
+    /// rectangle to those constraints (dropping any left empty): the seed
+    /// may come from a nearby request with looser bounds. A rectangle no
+    /// bound cuts is queued unchanged.
     fn from_seed(seed: &PfSeed, problem: &MooProblem, tol: f64) -> Self {
         udao_telemetry::counter(names::PF_SEEDED_RUNS).inc();
         let mut queue = RectQueue::new();
         for r in &seed.uncertain {
-            queue.push(r.clone());
+            let mut clipped = r.clone();
+            let axes = clipped.lo.iter_mut().zip(&mut clipped.hi);
+            for ((lo, hi), b) in axes.zip(&problem.constraints) {
+                *lo = lo.max(b.lo);
+                *hi = hi.min(b.hi);
+            }
+            if clipped.lo.iter().zip(&clipped.hi).all(|(lo, hi)| lo <= hi) {
+                queue.push(clipped);
+            }
         }
         let initial_volume = if seed.initial_volume > 0.0 {
             seed.initial_volume
@@ -1042,6 +1052,37 @@ mod tests {
             // The seed frontier is never contradicted, only refined.
             for s in &cold.frontier {
                 assert!(warm.frontier.iter().any(|l| l.f == s.f || dominates(&l.f, &s.f)));
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_resume_clips_saved_rectangles_to_tighter_bounds() {
+        let with_latency_cap = |cap: f64| {
+            let mut p = convex_problem();
+            p.constraints[0] = Bound::new(f64::NEG_INFINITY, cap);
+            p
+        };
+        let (loose, tight) = (with_latency_cap(290.0), with_latency_cap(200.0));
+        let budget = Budget::unlimited();
+        for variant in [PfVariant::ApproxSequential, PfVariant::ApproxParallel] {
+            let pf = ProgressiveFrontier::new(variant, PfOptions::default());
+            let cold = pf.solve(&loose, 6).unwrap();
+            assert!(cold.uncertain.iter().any(|r| r.hi[0] > 200.0), "{variant:?}: nothing to cut");
+            // Seeds no bound cuts resume with their rectangles unchanged
+            // (handed back in heap order, so compared as sets).
+            let seed = cold.seed();
+            let same = pf.solve_seeded_within(&loose, 1, &budget, Some(&seed)).unwrap();
+            assert_eq!(same.uncertain.len(), cold.uncertain.len(), "{variant:?}");
+            assert!(same.uncertain.iter().all(|r| cold.uncertain.contains(r)), "{variant:?}");
+            // Under the tighter cap every queued rectangle lies within it,
+            // both before any probe and after a few.
+            for n_points in [1, 8] {
+                let warm = pf.solve_seeded_within(&tight, n_points, &budget, Some(&seed)).unwrap();
+                for r in &warm.seed().uncertain {
+                    assert!(r.hi[0] <= 200.0, "{variant:?}/{n_points}: {r:?} exceeds the cap");
+                    assert!(r.lo.iter().zip(&r.hi).all(|(l, h)| l <= h), "{r:?} is empty");
+                }
             }
         }
     }

@@ -61,8 +61,6 @@ pub struct Gp {
     dim: usize,
     /// Log marginal likelihood at the selected hyperparameters.
     log_marginal: f64,
-    /// Lazily converted f32 mirrors (x_flat, alpha) for the fast path.
-    f32_cache: std::sync::OnceLock<(Vec<f32>, Vec<f32>)>,
 }
 
 impl Gp {
@@ -105,7 +103,6 @@ impl Gp {
                             scaler,
                             dim: data.dim(),
                             log_marginal: lml,
-                            f32_cache: std::sync::OnceLock::new(),
                         });
                     }
                 }
@@ -224,38 +221,7 @@ impl Gp {
         self.log_marginal = -0.5 * data_fit
             - 0.5 * self.chol.log_det_from_cholesky()
             - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
-        self.f32_cache = std::sync::OnceLock::new();
         true
-    }
-
-    /// Single-precision batched mean — the opt-in fast path (see
-    /// [`crate::precision`]): training block and `α` are narrowed to f32
-    /// once and the fused cross-kernel + Gram product runs in f32. Serves
-    /// means only; variance and gradients stay on the f64 path.
-    pub fn predict_batch_f32(&self, xs: &[Vec<f64>], out: &mut [f64]) {
-        debug_assert_eq!(xs.len(), out.len());
-        let (x32, a32) = self.f32_cache.get_or_init(|| {
-            (
-                self.x_flat.iter().map(|&v| v as f32).collect(),
-                self.alpha.iter().map(|&v| v as f32).collect(),
-            )
-        });
-        let n = self.n_train();
-        let mut q = Vec::with_capacity(self.dim);
-        for (x, o) in xs.iter().zip(out.iter_mut()) {
-            q.clear();
-            q.extend(x.iter().map(|&v| v as f32));
-            let mean = crate::simd::se_cross_gram_f32(
-                x32,
-                n,
-                self.dim,
-                &q,
-                a32,
-                self.length_scale as f32,
-                self.signal_var as f32,
-            );
-            *o = self.scaler.inverse(mean as f64);
-        }
     }
 
     /// The log marginal likelihood at the fitted hyperparameters.
@@ -526,20 +492,6 @@ mod tests {
         assert!(!gp.extend(&[vec![0.1]], &[1.0, 2.0]), "length mismatch must fail");
         assert_eq!(gp.n_train(), 12);
         assert_eq!(gp.predict(&[0.4]).to_bits(), before.to_bits());
-    }
-
-    #[test]
-    fn gp_f32_fast_path_tracks_f64_within_bound() {
-        let d = smooth_dataset(25);
-        let gp = Gp::fit(&d, &GpConfig::default()).unwrap();
-        let xs: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64 / 8.0]).collect();
-        let mut f64_out = vec![0.0; xs.len()];
-        let mut f32_out = vec![0.0; xs.len()];
-        gp.predict_batch(&xs, &mut f64_out);
-        gp.predict_batch_f32(&xs, &mut f32_out);
-        for (a, b) in f64_out.iter().zip(&f32_out) {
-            assert!((a - b).abs() <= 1e-3 * (1.0 + a.abs()), "{a} vs {b}");
-        }
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! * [`regression`] — hand-crafted Ernest-style analytical models.
 //!
 //! Supporting modules: [`linalg`] (small dense linear algebra), [`simd`]
-//! (runtime-dispatched SIMD kernels behind the linalg hot paths),
-//! [`precision`] (the opt-in f32 inference ladder), [`dataset`]
+//! (runtime-dispatched f64 SIMD kernels behind the linalg hot paths,
+//! bitwise batch-composition independent within a process), [`dataset`]
 //! (trace matrices, scalers, splits), [`features`] (constant filtering,
 //! LASSO-path knob selection), and [`server`] (the model registry with
 //! periodic retraining and incremental fine-tuning from checkpoints).
@@ -31,7 +31,6 @@ pub mod features;
 pub mod gp;
 pub mod linalg;
 pub mod mlp;
-pub mod precision;
 pub mod regression;
 pub mod server;
 pub mod simd;
@@ -41,6 +40,5 @@ pub use dataset::Dataset;
 pub use drift::{DriftOptions, DriftVerdict, DriftWindow};
 pub use gp::{Gp, GpConfig};
 pub use mlp::{Ensemble, McDropout, Mlp, MlpConfig};
-pub use precision::{F32Batch, FastPath, Precision};
 pub use server::{ModelKey, ModelKind, ModelLease, ModelServer};
 pub use simd::KernelVariant;

@@ -44,18 +44,14 @@ impl Default for MlpConfig {
     }
 }
 
-/// Lazily built derived copies of a layer's weights: the column-major
-/// (transposed) f64 block every forward pass streams through, and its f32
-/// mirror (weights + bias) for the opt-in fast path. Derived data:
+/// Lazily built derived copy of a layer's weights: the column-major
+/// (transposed) block every forward pass streams through. Derived data:
 /// checkpoints store it as `null` and restores rebuild it on first use,
 /// and training resets it after every optimizer step (the forward pass
 /// reads weights exclusively through this cache, so a stale transpose
 /// would silently serve the previous step's weights).
 #[derive(Debug, Clone, Default)]
-struct WtCache {
-    t: std::sync::OnceLock<Vec<f64>>,
-    t32: std::sync::OnceLock<(Vec<f32>, Vec<f32>)>,
-}
+struct WtCache(std::sync::OnceLock<Vec<f64>>);
 
 impl serde::Serialize for WtCache {
     fn to_value(&self) -> serde::Value {
@@ -89,15 +85,7 @@ impl Layer {
 
     /// The transposed weight block (`in_dim × out_dim`), computed once.
     fn transposed(&self) -> &[f64] {
-        self.wt.t.get_or_init(|| crate::linalg::transpose(&self.w, self.out_dim, self.in_dim))
-    }
-
-    /// f32 mirror of the transposed weights and bias, converted once.
-    fn transposed_f32(&self) -> &(Vec<f32>, Vec<f32>) {
-        self.wt.t32.get_or_init(|| {
-            let wt = self.transposed();
-            (wt.iter().map(|&v| v as f32).collect(), self.b.iter().map(|&v| v as f32).collect())
-        })
+        self.wt.0.get_or_init(|| crate::linalg::transpose(&self.w, self.out_dim, self.in_dim))
     }
 
     /// Single-point forward: the batched kernel with `n = 1`, so scalar
@@ -292,44 +280,6 @@ impl Mlp {
     /// Restore a model from a checkpoint produced by [`Mlp::checkpoint`].
     pub fn restore(json: &str) -> Option<Mlp> {
         serde_json::from_str(json).ok()
-    }
-
-    /// Single-precision batched mean prediction — the opt-in fast path (see
-    /// [`crate::precision`]). Inputs are narrowed to f32 once, every layer
-    /// runs through the f32 kernel against cached f32 weight mirrors, and
-    /// only the final de-standardization happens in f64. Roughly halves
-    /// memory traffic and doubles SIMD lane width versus the f64 path, at
-    /// single-precision accuracy (bounded by the verification mode).
-    pub fn predict_batch_f32(&self, xs: &[Vec<f64>], out: &mut [f64]) {
-        debug_assert_eq!(xs.len(), out.len());
-        let n = xs.len();
-        if n == 0 {
-            return;
-        }
-        let max_width = self.layers.iter().map(|l| l.out_dim).max().unwrap_or(1).max(self.dim);
-        let mut cur: Vec<f32> = Vec::with_capacity(n * max_width);
-        for x in xs {
-            debug_assert_eq!(x.len(), self.dim);
-            cur.extend(x.iter().map(|&v| v as f32));
-        }
-        let mut next: Vec<f32> = Vec::with_capacity(n * max_width);
-        let mut width = self.dim;
-        let n_layers = self.layers.len();
-        for (li, layer) in self.layers.iter().enumerate() {
-            let (wt32, b32) = layer.transposed_f32();
-            crate::simd::affine_batch_f32(&cur, n, width, wt32, b32, &mut next);
-            if li + 1 < n_layers {
-                for v in &mut next {
-                    *v = v.max(0.0); // ReLU
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
-            width = layer.out_dim;
-        }
-        debug_assert_eq!(width, 1);
-        for (o, v) in out.iter_mut().zip(&cur) {
-            *o = self.scaler.inverse(*v as f64);
-        }
     }
 }
 
@@ -540,26 +490,6 @@ impl Ensemble {
     pub fn fine_tune(&mut self, data: &Dataset, epochs: usize) {
         for m in &mut self.members {
             m.fine_tune(data, epochs);
-        }
-    }
-
-    /// Single-precision batched mean — member means accumulated in f64 in
-    /// the same member order as the f64 batched path.
-    pub fn predict_batch_f32(&self, xs: &[Vec<f64>], out: &mut [f64]) {
-        debug_assert_eq!(xs.len(), out.len());
-        for o in out.iter_mut() {
-            *o = 0.0;
-        }
-        let mut buf = vec![0.0; xs.len()];
-        for m in &self.members {
-            m.predict_batch_f32(xs, &mut buf);
-            for (o, v) in out.iter_mut().zip(&buf) {
-                *o += v;
-            }
-        }
-        let k = self.members.len() as f64;
-        for o in out.iter_mut() {
-            *o /= k;
         }
     }
 }
@@ -809,27 +739,6 @@ mod tests {
         for (i, x) in xs.iter().enumerate() {
             assert_eq!(e.predict(x).to_bits(), mean[i].to_bits());
             assert_eq!(e.predict_std(x).to_bits(), std[i].to_bits());
-        }
-    }
-
-    #[test]
-    fn f32_fast_path_tracks_f64_within_bound() {
-        let d = quadratic_data(30);
-        let m = Mlp::fit(&d, &MlpConfig { epochs: 150, ..quick_cfg() }).unwrap();
-        let xs: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64 / 8.0]).collect();
-        let mut f64_out = vec![0.0; xs.len()];
-        let mut f32_out = vec![0.0; xs.len()];
-        m.predict_batch(&xs, &mut f64_out);
-        m.predict_batch_f32(&xs, &mut f32_out);
-        for (a, b) in f64_out.iter().zip(&f32_out) {
-            assert!((a - b).abs() <= 1e-3 * (1.0 + a.abs()), "{a} vs {b}");
-        }
-
-        let e = Ensemble::fit(&d, &MlpConfig { epochs: 80, ..quick_cfg() }, 3).unwrap();
-        e.predict_batch(&xs, &mut f64_out);
-        e.predict_batch_f32(&xs, &mut f32_out);
-        for (a, b) in f64_out.iter().zip(&f32_out) {
-            assert!((a - b).abs() <= 1e-3 * (1.0 + a.abs()), "{a} vs {b}");
         }
     }
 

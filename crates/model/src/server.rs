@@ -42,7 +42,6 @@ use crate::dataset::Dataset;
 use crate::drift::{DriftOptions, DriftVerdict, DriftWindow};
 use crate::gp::{Gp, GpConfig};
 use crate::mlp::{Ensemble, MlpConfig};
-use crate::precision::{F32Batch, FastPath, Precision};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -206,31 +205,16 @@ impl<M: ObjectiveModel> ObjectiveModel for Metered<M> {
     }
 }
 
-/// Wrap a trained model for serving: the f32 fast path (when a non-default
-/// [`Precision`] is active) innermost, then the log-space transform when
-/// the entry was registered with [`ModelServer::register_log`], then the
-/// inference-counting wrapper always —
-/// `Metered(LogSpace?(FastPath?(model)))`.
-fn wrap_model<M: ObjectiveModel + F32Batch + 'static>(
-    model: M,
-    log: bool,
-    precision: Precision,
-) -> Arc<dyn ObjectiveModel> {
+/// Wrap a trained model for serving: the log-space transform when the
+/// entry was registered with [`ModelServer::register_log`], then the
+/// inference-counting wrapper always — `Metered(LogSpace?(model))`.
+fn wrap_model<M: ObjectiveModel + 'static>(model: M, log: bool) -> Arc<dyn ObjectiveModel> {
     let inferences = udao_telemetry::counter(names::MODEL_INFERENCES);
     let batch_calls = udao_telemetry::counter(names::MODEL_BATCH_CALLS);
-    match (log, precision.is_f64()) {
-        (true, true) => {
-            Arc::new(Metered { inner: crate::transform::LogSpace(model), inferences, batch_calls })
-        }
-        (false, true) => Arc::new(Metered { inner: model, inferences, batch_calls }),
-        (true, false) => Arc::new(Metered {
-            inner: crate::transform::LogSpace(FastPath::new(model, precision)),
-            inferences,
-            batch_calls,
-        }),
-        (false, false) => {
-            Arc::new(Metered { inner: FastPath::new(model, precision), inferences, batch_calls })
-        }
+    if log {
+        Arc::new(Metered { inner: crate::transform::LogSpace(model), inferences, batch_calls })
+    } else {
+        Arc::new(Metered { inner: model, inferences, batch_calls })
     }
 }
 
@@ -248,8 +232,6 @@ pub struct ModelServer {
     /// Rolling prediction-vs-observed residual windows per key.
     drift: Mutex<HashMap<ModelKey, DriftWindow>>,
     drift_options: RwLock<DriftOptions>,
-    /// Inference precision applied to models published after it is set.
-    precision: RwLock<Precision>,
 }
 
 impl ModelServer {
@@ -267,18 +249,6 @@ impl ModelServer {
     /// The current drift-detection policy.
     pub fn drift_options(&self) -> DriftOptions {
         *self.drift_options.read()
-    }
-
-    /// Set the inference precision for models published from now on
-    /// (already-published versions keep the precision they were wrapped
-    /// with — leases stay immutable snapshots).
-    pub fn set_precision(&self, precision: Precision) {
-        *self.precision.write() = precision;
-    }
-
-    /// The precision models are currently being published at.
-    pub fn precision(&self) -> Precision {
-        *self.precision.read()
     }
 
     /// Declare a model for `key` with the given family. Idempotent; the
@@ -414,14 +384,9 @@ impl ModelServer {
         full: bool,
         started: Instant,
     ) -> bool {
-        let precision = *self.precision.read();
         let (wrapped, trained) = match outcome {
-            TrainOutcome::Gp(gp) => {
-                (wrap_model((*gp).clone(), log, precision), Trained::Gp(gp))
-            }
-            TrainOutcome::Dnn(ens) => {
-                (wrap_model(ens.clone(), log, precision), Trained::Dnn(ens))
-            }
+            TrainOutcome::Gp(gp) => (wrap_model((*gp).clone(), log), Trained::Gp(gp)),
+            TrainOutcome::Dnn(ens) => (wrap_model(ens.clone(), log), Trained::Dnn(ens)),
             TrainOutcome::None => return false,
         };
         let version = {
@@ -644,6 +609,40 @@ mod tests {
         let model = server.get(&key).expect("model trained");
         assert!((model.predict(&[0.5]) - 4.5).abs() < 0.3);
         assert_eq!(server.trace_count(&key), 20);
+        assert_lease_matches_trained(&server, &key);
+        // A log-space DNN key covers the other two arms of `wrap_model`.
+        let dnn = ModelKey::new("q2", "cost");
+        let config = MlpConfig { epochs: 40, hidden: vec![8], ..Default::default() };
+        server.register_log(dnn.clone(), ModelKind::Dnn { config, members: 2 });
+        server.ingest(&dnn, &line_data(20, 5.0));
+        assert_lease_matches_trained(&server, &dnn);
+    }
+
+    /// A leased model's `predict`, `predict_batch` and `gradient` bits equal
+    /// those of the trained model it wraps (through `LogSpace` for keys
+    /// registered with [`ModelServer::register_log`]).
+    fn assert_lease_matches_trained(server: &ModelServer, key: &ModelKey) {
+        let leased = server.get(key).expect("model trained");
+        let entries = server.entries.read();
+        let inner: Box<dyn ObjectiveModel> = match entries[key].trained.as_ref().expect("kept") {
+            Trained::Gp(gp) => Box::new((**gp).clone()),
+            Trained::Dnn(ens) => Box::new(ens.clone()),
+        };
+        let log = entries[key].log_target;
+        let trained: Box<dyn ObjectiveModel> =
+            if log { Box::new(crate::transform::LogSpace(inner)) } else { inner };
+        let xs: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64 / 6.0]).collect();
+        let bits = |m: &dyn ObjectiveModel| {
+            let mut out = vec![0.0; xs.len()];
+            m.predict_batch(&xs, &mut out);
+            for x in &xs {
+                let mut g = [0.0];
+                m.gradient(x, &mut g);
+                out.extend([m.predict(x), g[0]]);
+            }
+            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&*leased), bits(&*trained), "{key:?}");
     }
 
     #[test]
@@ -698,38 +697,6 @@ mod tests {
         // eventually re-tune).
         server.ingest(&key, &line_data(250, 5.0));
         assert_eq!(server.training_stats(&key), (2, 1));
-    }
-
-    #[test]
-    fn precision_setting_wraps_published_models() {
-        let server = ModelServer::new();
-        let key = ModelKey::new("q12", "latency");
-        server.register(key.clone(), ModelKind::Gp(GpConfig::default()));
-        server.ingest(&key, &line_data(20, 5.0));
-        let f64_model = server.get(&key).unwrap();
-
-        // Verified f32: served values are the f64 shadow, so they match the
-        // f64-published model closely; the bound must hold on this data.
-        let violations_before = udao_telemetry::global()
-            .counter(names::MODEL_F32_VERIFY_VIOLATIONS)
-            .get();
-        server.set_precision(Precision::F32Verified { rel_tol: 1e-3 });
-        assert!(!server.precision().is_f64());
-        assert!(server.retrain_now(&key, &Dataset::default()));
-        let verified = server.get(&key).unwrap();
-        assert!((verified.predict(&[0.5]) - f64_model.predict(&[0.5])).abs() < 1e-9);
-        assert_eq!(
-            udao_telemetry::global().counter(names::MODEL_F32_VERIFY_VIOLATIONS).get(),
-            violations_before,
-            "1e-3 relative bound must hold on a well-scaled GP"
-        );
-
-        // Pure f32: close to f64 but served from the fast kernels.
-        server.set_precision(Precision::F32);
-        assert!(server.retrain_now(&key, &Dataset::default()));
-        let fast = server.get(&key).unwrap();
-        let (a, b) = (fast.predict(&[0.5]), f64_model.predict(&[0.5]));
-        assert!((a - b).abs() <= 1e-3 * (1.0 + b.abs()), "{a} vs {b}");
     }
 
     #[test]

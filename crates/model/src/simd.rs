@@ -111,53 +111,7 @@ pub fn affine_batch_f64(
     }
 }
 
-/// Batched affine map `Y = X·Wᵀ + b` in f32 — the opt-in fast path. Same
-/// layout and batch-independence contract as [`affine_batch_f64`], single
-/// precision throughout (weights are converted once per model, see
-/// `Layer::transposed_f32`).
-pub fn affine_batch_f32(
-    xs: &[f32],
-    n: usize,
-    in_dim: usize,
-    wt: &[f32],
-    b: &[f32],
-    out: &mut Vec<f32>,
-) {
-    let out_dim = b.len();
-    debug_assert_eq!(xs.len(), n * in_dim);
-    debug_assert_eq!(wt.len(), in_dim * out_dim);
-    out.clear();
-    out.resize(n * out_dim, 0.0);
-    match kernel_variant() {
-        #[cfg(target_arch = "x86_64")]
-        KernelVariant::Avx2 => unsafe { affine_f32_avx2(xs, n, in_dim, wt, b, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelVariant::Avx2 => affine_f32_portable(xs, n, in_dim, wt, b, out),
-        KernelVariant::Portable => affine_f32_portable(xs, n, in_dim, wt, b, out),
-    }
-}
-
 fn affine_f64_portable(xs: &[f64], n: usize, in_dim: usize, wt: &[f64], b: &[f64], out: &mut [f64]) {
-    let out_dim = b.len();
-    for i in 0..in_dim {
-        let wrow = &wt[i * out_dim..(i + 1) * out_dim];
-        for p in 0..n {
-            let xi = xs[p * in_dim + i];
-            let row_out = &mut out[p * out_dim..(p + 1) * out_dim];
-            for (acc, &wv) in row_out.iter_mut().zip(wrow) {
-                *acc += xi * wv;
-            }
-        }
-    }
-    for p in 0..n {
-        let row_out = &mut out[p * out_dim..(p + 1) * out_dim];
-        for (acc, &bo) in row_out.iter_mut().zip(b) {
-            *acc += bo;
-        }
-    }
-}
-
-fn affine_f32_portable(xs: &[f32], n: usize, in_dim: usize, wt: &[f32], b: &[f32], out: &mut [f32]) {
     let out_dim = b.len();
     for i in 0..in_dim {
         let wrow = &wt[i * out_dim..(i + 1) * out_dim];
@@ -252,87 +206,6 @@ unsafe fn affine_f64_avx2(xs: &[f64], n: usize, in_dim: usize, wt: &[f64], b: &[
         }
         while o < out_dim {
             let mut acc = 0.0f64;
-            for i in 0..in_dim {
-                acc = xs[p * in_dim + i].mul_add(wt[i * out_dim + o], acc);
-            }
-            out[p * out_dim + o] = acc + b[o];
-            o += 1;
-        }
-        p += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn affine_f32_avx2(xs: &[f32], n: usize, in_dim: usize, wt: &[f32], b: &[f32], out: &mut [f32]) {
-    use core::arch::x86_64::*;
-    let out_dim = b.len();
-    let mut p = 0;
-    while p + MR <= n {
-        let mut o = 0;
-        // 4 points × 16 outputs (2 ymm of 8 f32 lanes each).
-        while o + 16 <= out_dim {
-            let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-            for i in 0..in_dim {
-                let w0 = _mm256_loadu_ps(wt.as_ptr().add(i * out_dim + o));
-                let w1 = _mm256_loadu_ps(wt.as_ptr().add(i * out_dim + o + 8));
-                for (m, a) in acc.iter_mut().enumerate() {
-                    let x = _mm256_set1_ps(*xs.get_unchecked((p + m) * in_dim + i));
-                    a[0] = _mm256_fmadd_ps(x, w0, a[0]);
-                    a[1] = _mm256_fmadd_ps(x, w1, a[1]);
-                }
-            }
-            let b0 = _mm256_loadu_ps(b.as_ptr().add(o));
-            let b1 = _mm256_loadu_ps(b.as_ptr().add(o + 8));
-            for (m, a) in acc.iter().enumerate() {
-                let dst = out.as_mut_ptr().add((p + m) * out_dim + o);
-                _mm256_storeu_ps(dst, _mm256_add_ps(a[0], b0));
-                _mm256_storeu_ps(dst.add(8), _mm256_add_ps(a[1], b1));
-            }
-            o += 16;
-        }
-        while o + 8 <= out_dim {
-            let mut acc = [_mm256_setzero_ps(); MR];
-            for i in 0..in_dim {
-                let w = _mm256_loadu_ps(wt.as_ptr().add(i * out_dim + o));
-                for (m, a) in acc.iter_mut().enumerate() {
-                    let x = _mm256_set1_ps(*xs.get_unchecked((p + m) * in_dim + i));
-                    *a = _mm256_fmadd_ps(x, w, *a);
-                }
-            }
-            let bv = _mm256_loadu_ps(b.as_ptr().add(o));
-            for (m, a) in acc.iter().enumerate() {
-                _mm256_storeu_ps(out.as_mut_ptr().add((p + m) * out_dim + o), _mm256_add_ps(*a, bv));
-            }
-            o += 8;
-        }
-        while o < out_dim {
-            for m in 0..MR {
-                let mut acc = 0.0f32;
-                for i in 0..in_dim {
-                    acc = xs[(p + m) * in_dim + i].mul_add(wt[i * out_dim + o], acc);
-                }
-                out[(p + m) * out_dim + o] = acc + b[o];
-            }
-            o += 1;
-        }
-        p += MR;
-    }
-    while p < n {
-        let mut o = 0;
-        while o + 8 <= out_dim {
-            let mut acc = _mm256_setzero_ps();
-            for i in 0..in_dim {
-                let w = _mm256_loadu_ps(wt.as_ptr().add(i * out_dim + o));
-                let x = _mm256_set1_ps(*xs.get_unchecked(p * in_dim + i));
-                acc = _mm256_fmadd_ps(x, w, acc);
-            }
-            let bv = _mm256_loadu_ps(b.as_ptr().add(o));
-            _mm256_storeu_ps(out.as_mut_ptr().add(p * out_dim + o), _mm256_add_ps(acc, bv));
-            o += 8;
-        }
-        while o < out_dim {
-            let mut acc = 0.0f32;
             for i in 0..in_dim {
                 acc = xs[p * in_dim + i].mul_add(wt[i * out_dim + o], acc);
             }
@@ -464,36 +337,6 @@ pub fn se_cross_gram_f64(
     mean
 }
 
-/// f32 counterpart of [`se_cross_gram_f64`] for the opt-in fast path. The
-/// caller provides pre-converted f32 training block and Gram weights; no
-/// `kx` row is materialized because the f32 path serves means only
-/// (variance stays on the f64 path).
-pub fn se_cross_gram_f32(
-    x_flat: &[f32],
-    n: usize,
-    dim: usize,
-    q: &[f32],
-    alpha: &[f32],
-    length_scale: f32,
-    signal_var: f32,
-) -> f32 {
-    debug_assert_eq!(x_flat.len(), n * dim);
-    debug_assert_eq!(alpha.len(), n);
-    let l2 = length_scale * length_scale;
-    let mut mean = 0.0f32;
-    for i in 0..n {
-        let row = &x_flat[i * dim..(i + 1) * dim];
-        let mut d = 0.0f32;
-        for (a, b) in row.iter().zip(q) {
-            let diff = a - b;
-            d += diff * diff;
-        }
-        let k = signal_var * (-0.5 * d / l2).exp();
-        mean += k * alpha[i];
-    }
-    mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,29 +399,6 @@ mod tests {
             let mut single = Vec::new();
             for p in 0..n {
                 affine_batch_f64(&xs[p * in_dim..(p + 1) * in_dim], 1, in_dim, &wt, &b, &mut single);
-                let got = &batched[p * out_dim..(p + 1) * out_dim];
-                assert_eq!(
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    single.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "row {p} of n={n} differs from its single-point call"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn affine_f32_is_batch_composition_independent() {
-        for &(n, in_dim, out_dim) in &[(1usize, 5usize, 3usize), (9, 128, 128), (3, 20, 33)] {
-            let xs: Vec<f32> =
-                (0..n * in_dim).map(|i| ((i * 29 % 17) as f32 - 8.0) * 0.219).collect();
-            let wt: Vec<f32> =
-                (0..in_dim * out_dim).map(|i| ((i * 41 % 13) as f32 - 6.0) * 0.137).collect();
-            let b: Vec<f32> = (0..out_dim).map(|i| (i as f32) * 0.03 - 0.1).collect();
-            let mut batched = Vec::new();
-            affine_batch_f32(&xs, n, in_dim, &wt, &b, &mut batched);
-            let mut single = Vec::new();
-            for p in 0..n {
-                affine_batch_f32(&xs[p * in_dim..(p + 1) * in_dim], 1, in_dim, &wt, &b, &mut single);
                 let got = &batched[p * out_dim..(p + 1) * out_dim];
                 assert_eq!(
                     got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

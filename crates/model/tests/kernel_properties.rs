@@ -1,18 +1,16 @@
-//! Property tests of the SIMD / cache-blocked inference kernels: the four
+//! Property tests of the SIMD / cache-blocked inference kernels: the three
 //! contracts the serving path builds on, checked over randomized shapes
 //! and data instead of the hand-picked cases in the unit suites.
 //!
 //! 1. The blocked f64 GEMM is bitwise equal to the per-point path
 //!    (`Layer::forward` routes through the same kernel with `n = 1`), for
 //!    every batch/dimension split the tiler can produce.
-//! 2. The f32 kernel tracks the f64 kernel within the stated relative
-//!    error bound.
-//! 3. Rank-k Cholesky row appends match a from-scratch refactorization of
+//! 2. Rank-k Cholesky row appends match a from-scratch refactorization of
 //!    the grown matrix within `1e-10`.
-//! 4. The fused GP cross-kernel + Gram-vector product is bitwise equal to
+//! 3. The fused GP cross-kernel + Gram-vector product is bitwise equal to
 //!    the two-step (kernel row, then dot) reference it replaced.
 //!
-//! All four properties run under whatever kernel variant the host
+//! All three properties run under whatever kernel variant the host
 //! dispatches (and under `UDAO_FORCE_PORTABLE=1` in `scripts/check.sh`,
 //! which runs this suite once per variant).
 
@@ -68,41 +66,7 @@ proptest! {
         }
     }
 
-    /// Contract 2: the f32 kernel stays within the stated relative-error
-    /// bound of the f64 kernel. With inputs and weights of magnitude <= 2
-    /// and reductions up to 17 terms, accumulated f32 rounding stays far
-    /// under the 1e-3 bound `Precision::F32Verified` defaults document —
-    /// 1e-4 here leaves an order of magnitude of slack while still
-    /// catching any use of a wrong (e.g. re-associated into error) path.
-    #[test]
-    fn f32_kernel_tracks_f64_within_stated_bound(
-        n in 1usize..=MAX_N,
-        in_dim in 1usize..=MAX_IN,
-        out_dim in 1usize..=MAX_OUT,
-        xs in prop::collection::vec(-2.0f64..2.0, MAX_N * MAX_IN),
-        wt in prop::collection::vec(-1.5f64..1.5, MAX_IN * MAX_OUT),
-        b in prop::collection::vec(-1.0f64..1.0, MAX_OUT),
-    ) {
-        let xs = &xs[..n * in_dim];
-        let wt = &wt[..in_dim * out_dim];
-        let b = &b[..out_dim];
-        let mut exact = Vec::new();
-        simd::affine_batch_f64(xs, n, in_dim, wt, b, &mut exact);
-        let xs32: Vec<f32> = xs.iter().map(|v| *v as f32).collect();
-        let wt32: Vec<f32> = wt.iter().map(|v| *v as f32).collect();
-        let b32: Vec<f32> = b.iter().map(|v| *v as f32).collect();
-        let mut fast = Vec::new();
-        simd::affine_batch_f32(&xs32, n, in_dim, &wt32, &b32, &mut fast);
-        for (f, e) in fast.iter().zip(&exact) {
-            let err = (f64::from(*f) - e).abs();
-            prop_assert!(
-                err <= 1e-4 * (1.0 + e.abs()),
-                "f32 {f} vs f64 {e}: rel err {err:.3e} out of bound"
-            );
-        }
-    }
-
-    /// Contract 3: growing a Cholesky factor one bordered row at a time
+    /// Contract 2: growing a Cholesky factor one bordered row at a time
     /// (`Matrix::cholesky_append_row`, the O(kn^2) GP fine-tune path)
     /// matches refactorizing the grown matrix from scratch within 1e-10.
     #[test]
@@ -147,7 +111,7 @@ proptest! {
         }
     }
 
-    /// Contract 4: the fused SE cross-kernel + Gram-vector product returns
+    /// Contract 3: the fused SE cross-kernel + Gram-vector product returns
     /// exactly the bits of the two-step reference (kernel row via the same
     /// dispatched `sq_dist`, then a serial multiply-add fold).
     #[test]

@@ -48,6 +48,26 @@ use udao_sparksim::{
     WorkloadPayload,
 };
 
+/// `println!` that ends the process quietly when stdout is closed early
+/// (`udao-cli workloads | head -1`) instead of panicking on the broken pipe.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout_line(format_args!($($arg)*))
+    };
+}
+
+fn write_stdout_line(line: std::fmt::Arguments) {
+    use std::io::Write as _;
+    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
+        // A closed reader has what it wanted: nothing left to report.
+        let closed = e.kind() == std::io::ErrorKind::BrokenPipe;
+        if !closed {
+            eprintln!("udao-cli: writing to stdout failed: {e}");
+        }
+        std::process::exit(if closed { 0 } else { 1 });
+    }
+}
+
 /// Parse `--key value` flags (and bare subcommand words) from argv.
 fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
     let mut words = Vec::new();
@@ -127,14 +147,14 @@ fn error_value(workload: &str, err: &Error, with_report: bool) -> serde_json::Va
 
 fn cmd_workloads(flags: &HashMap<String, String>) -> ExitCode {
     if flags.contains_key("streaming") {
-        println!("{:<10} {:>8} {:>8} {:>8}", "id", "template", "variant", "offline");
+        outln!("{:<10} {:>8} {:>8} {:>8}", "id", "template", "variant", "offline");
         for w in streaming_workloads() {
-            println!("{:<10} {:>8} {:>8} {:>8}", w.id, w.template, w.variant, w.offline);
+            outln!("{:<10} {:>8} {:>8} {:>8}", w.id, w.template, w.variant, w.offline);
         }
     } else {
-        println!("{:<10} {:>8} {:>8} {:>8}  kind", "id", "template", "variant", "offline");
+        outln!("{:<10} {:>8} {:>8} {:>8}  kind", "id", "template", "variant", "offline");
         for w in batch_workloads() {
-            println!(
+            outln!(
                 "{:<10} {:>8} {:>8} {:>8}  {:?}",
                 w.id, w.template, w.variant, w.offline, w.kind
             );
@@ -232,7 +252,7 @@ fn finish(
             // document (regression: a shed or bottomed-out request used to
             // produce no JSON at all).
             if flags.contains_key("json") {
-                println!("{}", error_value(id, &e, flags.contains_key("report")));
+                outln!("{}", error_value(id, &e, flags.contains_key("report")));
             }
             eprintln!("{what} failed: {e}");
             return ExitCode::FAILURE;
@@ -241,10 +261,10 @@ fn finish(
     if !flags.contains_key("json") {
         text(&rec);
         if rec.degraded {
-            println!("note: degraded answer (stage: {})", rec.stage);
+            outln!("note: degraded answer (stage: {})", rec.stage);
         }
         if flags.contains_key("report") {
-            println!("{}", rec.report.render());
+            outln!("{}", rec.report.render());
         }
         return ExitCode::SUCCESS;
     }
@@ -265,7 +285,7 @@ fn finish(
     if flags.contains_key("report") {
         out.push(("report".to_string(), rec.report.to_value()));
     }
-    println!("{}", serde_json::Value::Object(out));
+    outln!("{}", serde_json::Value::Object(out));
     ExitCode::SUCCESS
 }
 
@@ -332,10 +352,10 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> ExitCode {
         result,
         |rec| serde_json::json!({ "configuration": rec.batch_conf }),
         |rec| {
-            println!("recommended configuration for {id}:");
-            println!("{}", BatchConf::space().render(&rec.configuration));
-            println!("predicted objectives ({}): {:?}", objective_names, rec.predicted);
-            println!(
+            outln!("recommended configuration for {id}:");
+            outln!("{}", BatchConf::space().render(&rec.configuration));
+            outln!("predicted objectives ({}): {:?}", objective_names, rec.predicted);
+            outln!(
                 "frontier {} points / {} probes / {:.2}s MOO",
                 rec.frontier.len(),
                 rec.probes,
@@ -343,7 +363,7 @@ fn cmd_recommend(flags: &HashMap<String, String>) -> ExitCode {
             );
             if let Some(conf) = &rec.batch_conf {
                 match udao.measure_batch(w, conf, 0) {
-                    Ok(m) => println!(
+                    Ok(m) => outln!(
                         "measured on the simulated cluster: latency {:.1}s, {:.0} cores, {:.4} CPU-h",
                         m.latency_s, m.cores, m.cost_cpu_hour()
                     ),
@@ -426,15 +446,15 @@ fn cmd_recommend_stages(id: &str, w: &Workload, flags: &HashMap<String, String>)
             })
         },
         |rec| {
-            println!("per-stage recommendation for {id} ({} stages, {mode_name}):", fx.len());
-            println!("  cluster-slots (global) = {:.4}", global(rec));
+            outln!("per-stage recommendation for {id} ({} stages, {mode_name}):", fx.len());
+            outln!("  cluster-slots (global) = {:.4}", global(rec));
             for a in &rec.report.stage_attribution {
                 let knob = rec.x.get(global_dim + a.stage).copied().unwrap_or(f64::NAN);
                 let (lat, cost) = (
                     a.predicted.first().copied().unwrap_or(f64::NAN),
                     a.predicted.get(1).copied().unwrap_or(f64::NAN),
                 );
-                println!(
+                outln!(
                     "  stage {}: knob {knob:.4}  latency {lat:.3}  cost {cost:.3}  \
                      ({} block solves, {:.1} ms)",
                     a.stage,
@@ -442,11 +462,11 @@ fn cmd_recommend_stages(id: &str, w: &Workload, flags: &HashMap<String, String>)
                     a.seconds * 1e3,
                 );
             }
-            println!(
+            outln!(
                 "composed predicted (critical-path latency, summed cost): {:?}",
                 rec.predicted
             );
-            println!(
+            outln!(
                 "frontier {} points / {} probes / {:.2}s MOO / {} descent rounds",
                 rec.frontier.len(),
                 rec.probes,
@@ -478,14 +498,14 @@ fn cmd_measure(flags: &HashMap<String, String>) -> ExitCode {
     };
     if flags.contains_key("json") {
         match serde_json::to_string_pretty(&m) {
-            Ok(s) => println!("{s}"),
+            Ok(s) => outln!("{s}"),
             Err(e) => {
                 eprintln!("failed to serialize metrics: {e}");
                 return ExitCode::FAILURE;
             }
         }
     } else {
-        println!(
+        outln!(
             "{id} under the Spark default configuration: latency {:.1}s, {:.0} cores, \
              {:.4} CPU-h, {:.0} MB shuffled",
             m.latency_s, m.cores, m.cost_cpu_hour(), m.shuffle_read_mb

@@ -57,7 +57,6 @@ pub use lifecycle::{LifecycleManager, LifecycleOptions, LifecycleStats};
 pub use optimizer::{ModelFamily, Recommendation, Udao, UdaoBuilder};
 pub use pipeline::{PipelineRecommendation, PipelineRequest};
 pub use report::{SolveReport, StageAttribution, StageTiming};
-pub use udao_model::Precision;
 pub use request::{BatchRequest, Objective, Request, StreamRequest};
 pub use resilience::{FallbackStage, ModelProvider, ResilienceOptions, RetryPolicy};
 pub use serve::{ClassQuotas, ClassScheduler, ResponseHandle, ServingEngine, ServingOptions};

@@ -31,7 +31,7 @@ use udao_core::space::{Configuration, ParamSpace};
 use udao_core::{fnv_fold, Error, MooProblem, Result, FNV_OFFSET};
 use udao_model::dataset::Dataset;
 use udao_model::server::{ModelKey, ModelKind, ModelLease, ModelServer};
-use udao_model::{GpConfig, MlpConfig, Precision};
+use udao_model::{GpConfig, MlpConfig};
 use udao_sparksim::objectives::{BatchObjective, StreamObjective};
 use udao_sparksim::trace::{
     batch_training_data, collect_batch_traces, collect_stream_traces, stream_training_data,
@@ -242,7 +242,6 @@ pub struct UdaoBuilder {
     seed: u64,
     serving: ServingOptions,
     frontier_cache: Option<usize>,
-    precision: Precision,
 }
 
 impl UdaoBuilder {
@@ -283,20 +282,6 @@ impl UdaoBuilder {
         self
     }
 
-    /// Set the inference precision for served learned models (default
-    /// [`Precision::F64`]). [`Precision::F32`] routes batched mean
-    /// predictions through the f32 kernels (half the memory traffic,
-    /// double the SIMD width); [`Precision::F32Verified`] additionally
-    /// shadows every f32 batch with the f64 path, returns the f64 values,
-    /// and counts elements beyond the relative-error bound — the
-    /// validation rung to run before trusting `F32`. Uncertainty and
-    /// gradients always stay f64. The default keeps the strict bitwise
-    /// batched-vs-scalar property end to end.
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
-    }
-
     /// Enable the cross-request frontier cache, holding up to `capacity`
     /// solved frontiers (see [`crate::frontier_cache`]). Exact repeats of
     /// a request are answered from the cache without a MOO run; nearby
@@ -329,16 +314,6 @@ impl UdaoBuilder {
         if self.frontier_cache == Some(0) {
             return Err(Error::InvalidConfig("frontier_cache capacity must be >= 1".into()));
         }
-        if let Precision::F32Verified { rel_tol } = self.precision {
-            if !(rel_tol.is_finite() && rel_tol >= 0.0) {
-                return Err(Error::InvalidConfig(format!(
-                    "precision rel_tol must be finite and non-negative, got {rel_tol}"
-                )));
-            }
-        }
-        // Publish-time wrapping happens in the model server, so it must
-        // know the rung before the first model trains.
-        self.server.set_precision(self.precision);
         let provider = self
             .provider
             .unwrap_or_else(|| self.server.clone() as Arc<dyn ModelProvider>);
@@ -446,7 +421,6 @@ impl Udao {
             seed: 0xDA0,
             serving: ServingOptions::default(),
             frontier_cache: None,
-            precision: Precision::default(),
         }
     }
 

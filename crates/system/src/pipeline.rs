@@ -37,12 +37,13 @@ pub struct PipelineRecommendation {
     pub total_cpu_hours: f64,
 }
 
-/// Frontier point view used during allocation.
-#[derive(Clone, Copy)]
+/// Frontier point view used during allocation: the snapped configuration
+/// and the objective vector evaluated there.
+#[derive(Clone)]
 struct Option2D {
-    latency: f64,
     cpu_hours: f64,
-    index: usize,
+    x: Vec<f64>,
+    f: Vec<f64>,
 }
 
 impl Udao {
@@ -68,15 +69,15 @@ impl Udao {
             let problem = self.problem(stage)?;
             let rec = self.recommend(stage)?;
             let mut options: Vec<Option2D> = Vec::new();
-            for (i, p) in rec.frontier.iter().enumerate() {
-                let snapped = space.snap(&p.x)?;
-                let f = problem.evaluate(&snapped)?;
+            for p in &rec.frontier {
+                let x = space.snap(&p.x)?;
+                let f = problem.evaluate(&x)?;
                 if problem.feasible(&f, 1e-3) {
                     options.push(Option2D {
-                        latency: f[0],
                         // Objective 1 is a cores-style cost; CPU-hours follow.
                         cpu_hours: f[0] * f[1] / 3600.0,
-                        index: i,
+                        x,
+                        f,
                     });
                 }
             }
@@ -101,7 +102,7 @@ impl Udao {
                     a.cpu_hours.partial_cmp(&b.cpu_hours).unwrap_or(std::cmp::Ordering::Equal)
                 })
                 .ok_or_else(|| Error::Infeasible("pipeline stage lost its frontier".into()))?;
-            chosen.push(*cheapest);
+            chosen.push(cheapest.clone());
         }
         let mut spent: f64 = chosen.iter().map(|o| o.cpu_hours).sum();
         if spent > request.cpu_hour_budget {
@@ -113,10 +114,10 @@ impl Udao {
 
         // Greedy upgrades: best latency reduction per extra CPU-hour.
         loop {
-            let mut best: Option<(usize, Option2D, f64)> = None;
+            let mut best: Option<(usize, usize, f64)> = None;
             for (si, opts) in frontiers.iter().enumerate() {
-                for o in opts {
-                    let d_lat = chosen[si].latency - o.latency;
+                for (oi, o) in opts.iter().enumerate() {
+                    let d_lat = chosen[si].f[0] - o.f[0];
                     let d_cost = o.cpu_hours - chosen[si].cpu_hours;
                     if d_lat <= 0.0 || spent + d_cost > request.cpu_hour_budget {
                         continue;
@@ -125,35 +126,35 @@ impl Udao {
                     // compete on the latency-per-CPU-hour ratio.
                     let ratio = if d_cost <= 1e-12 { f64::INFINITY } else { d_lat / d_cost };
                     if best.map(|(_, _, r)| ratio > r).unwrap_or(true) {
-                        best = Some((si, *o, ratio));
+                        best = Some((si, oi, ratio));
                     }
                 }
             }
             match best {
-                Some((si, o, _)) => {
+                Some((si, oi, _)) => {
+                    let o = &frontiers[si][oi];
                     spent += o.cpu_hours - chosen[si].cpu_hours;
-                    chosen[si] = o;
+                    chosen[si] = o.clone();
                 }
                 None => break,
             }
         }
 
-        // Materialize the chosen frontier point of each stage.
+        // Materialize the chosen snapped point of each stage; `predicted`
+        // is its evaluation, so the totals are sums of the stage vectors.
         let mut stages_out = Vec::with_capacity(recs.len());
         let mut total_latency = 0.0;
         let mut total_cpu_hours = 0.0;
-        for (rec, choice) in recs.into_iter().zip(&chosen) {
-            let point = &rec.frontier[choice.index];
-            let snapped = space.snap(&point.x)?;
-            let configuration = space.decode(&snapped)?;
-            total_latency += choice.latency;
+        for (rec, choice) in recs.into_iter().zip(chosen) {
+            let configuration = space.decode(&choice.x)?;
+            total_latency += choice.f[0];
             total_cpu_hours += choice.cpu_hours;
             stages_out.push(Recommendation {
                 batch_conf: Some(udao_sparksim::BatchConf::from_configuration(&configuration)),
                 stream_conf: None,
-                x: snapped,
+                x: choice.x,
                 configuration,
-                predicted: point.f.clone(),
+                predicted: choice.f,
                 frontier: rec.frontier,
                 utopia: rec.utopia,
                 nadir: rec.nadir,
@@ -230,6 +231,12 @@ mod tests {
             tight.total_latency
         );
         assert_eq!(roomy.stages.len(), 2);
+        // Each stage's `predicted` is evaluated at its snapped `x`, the
+        // point the totals are summed over.
+        for plan in [&tight, &roomy] {
+            let stage_sum: f64 = plan.stages.iter().map(|s| s.predicted[0]).sum();
+            assert_eq!(plan.total_latency, stage_sum);
+        }
     }
 
     #[test]

@@ -79,11 +79,6 @@ pub const MODEL_GP_EXTENDS: &str = "model.gp_extends";
 /// GP extends that failed positive definiteness and fell back to a full
 /// refit.
 pub const MODEL_GP_EXTEND_FALLBACKS: &str = "model.gp_extend_fallbacks";
-/// Predictions on the f32 fast path whose f64 verification exceeded the
-/// configured relative-error bound (`Precision::F32Verified`).
-pub const MODEL_F32_VERIFY_VIOLATIONS: &str = "model.f32_verify_violations";
-/// Batched predictions served through the f32 fast path.
-pub const MODEL_F32_BATCH_CALLS: &str = "model.f32_batch_calls";
 
 // ------------------------------------------------------- model lifecycle
 

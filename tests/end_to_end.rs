@@ -164,3 +164,23 @@ fn recommendations_are_reproducible() {
     let b = udao.recommend(&req).unwrap();
     assert_eq!(a.x, b.x, "same models + same request => same recommendation");
 }
+
+#[test]
+fn cli_exits_quietly_when_stdout_closes_early() {
+    use std::io::Read as _;
+    use std::process::{Command, Stdio};
+    // `udao-cli workloads | head -1`: the read end closes while the child
+    // is still starting up, so every write hits a broken pipe.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_udao-cli"))
+        .arg("workloads")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn udao-cli");
+    drop(child.stdout.take());
+    let mut stderr = String::new();
+    child.stderr.take().expect("piped stderr").read_to_string(&mut stderr).expect("read stderr");
+    let status = child.wait().expect("wait for udao-cli");
+    assert!(!stderr.contains("panicked"), "udao-cli panicked on a closed stdout:\n{stderr}");
+    assert!(status.success(), "closed stdout must end the command quietly: {status}");
+}
